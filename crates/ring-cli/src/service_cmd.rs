@@ -31,9 +31,9 @@ fn service_config(flags: &HashMap<String, String>) -> ServiceConfig {
     if flags.contains_key("slo") {
         cfg = cfg.with_slo_horizon(crate::get_u64(flags, "slo", u64::MAX));
     }
-    // Executor selection: the default is `auto` (parallel only where the
-    // ring is big enough to win); `--par <n>` forces n shards, `--par seq`
-    // forces the sequential executor.
+    // Executor selection: the default is `auto` (the measured best, which
+    // is the sequential executor at every size benched); `--par <n>` forces
+    // n shards, `--par seq` forces the sequential executor.
     match flags.get("par").map(String::as_str) {
         None | Some("auto") => {}
         Some("seq") | Some("0") => cfg = cfg.with_executor(ExecutorMode::Sequential),
@@ -258,9 +258,9 @@ fn bench_load(m: usize) -> (ServiceConfig, LoadgenConfig) {
 fn service_bench_cell(m: usize, mode: ExecutorMode, label: &str) -> ServiceBenchRecord {
     let (cfg, load) = bench_load(m);
     let cfg = cfg.with_executor(mode);
-    // Record what the mode *resolves to* on this machine so the auto cell
-    // documents its pick.
-    let executor = match mode.shards_for(m) {
+    // Record what the mode *resolves to* so the auto cell documents its
+    // pick.
+    let executor = match mode.shards_for() {
         Some(s) => format!("par_run({s})"),
         None => "run".to_string(),
     };

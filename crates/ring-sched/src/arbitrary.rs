@@ -482,6 +482,15 @@ pub struct ArbitraryRun {
     pub max_bucket_travel: u64,
 }
 
+/// Builds the per-processor policy nodes for a sized instance — used by
+/// [`run_arbitrary`] and by tests that drive the engine themselves.
+pub fn build_sized_nodes(instance: &SizedInstance, cfg: &ArbitraryConfig) -> Vec<SizedNode> {
+    assert!(cfg.c > 0.0, "the drop-off constant must be positive");
+    (0..instance.num_processors())
+        .map(|i| SizedNode::new(cfg, instance.jobs_at(i).to_vec()))
+        .collect()
+}
+
 /// Runs the arbitrary-size algorithm on a sized instance.
 ///
 /// ```
@@ -498,10 +507,7 @@ pub fn run_arbitrary(
     instance: &SizedInstance,
     cfg: &ArbitraryConfig,
 ) -> Result<ArbitraryRun, SimError> {
-    assert!(cfg.c > 0.0, "the drop-off constant must be positive");
-    let nodes: Vec<SizedNode> = (0..instance.num_processors())
-        .map(|i| SizedNode::new(cfg, instance.jobs_at(i).to_vec()))
-        .collect();
+    let nodes = build_sized_nodes(instance, cfg);
     let engine_cfg = EngineConfig {
         max_steps: cfg.max_steps,
         trace: cfg.trace,

@@ -137,8 +137,8 @@ struct Submission {
 struct Shared {
     cfg: ServiceConfig,
     /// Shard count the executor mode resolved to at boot (`None` =
-    /// sequential). Resolved once so `Auto` probes the machine a single
-    /// time and every generation of this service runs the same executor.
+    /// sequential), so every generation of this service runs the same
+    /// executor.
     shards: Option<usize>,
     /// Last processed epoch boundary.
     now: u64,
@@ -183,7 +183,7 @@ impl Shared {
                     closed: false,
                 })
                 .collect(),
-            shards: cfg.executor.shards_for(cfg.m),
+            shards: cfg.executor.shards_for(),
             cfg,
             now,
             pending: Vec::new(),

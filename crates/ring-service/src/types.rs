@@ -6,16 +6,17 @@ use ring_sched::unit::UnitConfig;
 /// How service generations advance the ring each epoch.
 ///
 /// The parallel executor is bit-identical to the sequential one but pays
-/// per-window shard coordination; on small rings that overhead dominates
-/// (`BENCH_service.json` showed m=256 running ~4× slower under `par`).
-/// `Auto` makes the profitable choice from the ring size and the machine,
-/// so `serve`/`bench-service` defaults never pay par overhead where `run`
-/// wins.
+/// per-window shard coordination, and since the sequential span steps an
+/// active-node frontier there is no idle sweep left for it to win back.
+/// `ringsched bench-service --sizes 256,4096` (2 cores, three runs,
+/// completed jobs per wall second): m = 256 `run` 2.2–4.7 M vs
+/// `par_run(8)` 0.62–0.77 M; m = 4096 `run` 7.6–8.9 M vs `par_run(8)`
+/// 2.2–2.6 M and `par_run(2)` 2.3–3.5 M. `run` wins every cell, so `Auto`
+/// resolves to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorMode {
-    /// Parallel iff the ring is large enough to amortize shard
-    /// coordination ([`ExecutorMode::AUTO_PAR_MIN_M`]) and the machine has
-    /// more than one core; shard count = cores capped at 8.
+    /// The measured best executor for the ring size and machine: today
+    /// always [`ring_sim::Engine::run_span`] (see the cells above).
     Auto,
     /// Always [`ring_sim::Engine::run_span`].
     Sequential,
@@ -24,21 +25,12 @@ pub enum ExecutorMode {
 }
 
 impl ExecutorMode {
-    /// Smallest ring the auto mode runs in parallel. Below this the
-    /// sequential sweep finishes before the parallel executor has paid for
-    /// its halo handshakes.
-    pub const AUTO_PAR_MIN_M: usize = 4096;
-
-    /// Resolves the mode to a concrete shard count for an `m`-ring:
-    /// `None` = sequential, `Some(s)` = parallel on `s` shards.
-    pub fn shards_for(self, m: usize) -> Option<usize> {
+    /// Resolves the mode to a concrete shard count: `None` = sequential,
+    /// `Some(s)` = parallel on `s` shards.
+    pub fn shards_for(self) -> Option<usize> {
         match self {
-            ExecutorMode::Sequential => None,
+            ExecutorMode::Auto | ExecutorMode::Sequential => None,
             ExecutorMode::Parallel(s) => Some(s),
-            ExecutorMode::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (m >= Self::AUTO_PAR_MIN_M && cores >= 2).then(|| cores.min(8))
-            }
         }
     }
 }

@@ -31,13 +31,16 @@
 //!
 //! ## Executors
 //!
-//! [`Engine::run`] steps nodes `0..m` in index order on one thread.
+//! [`Engine::run`] steps the nodes that have mail, hold work or have not
+//! promised to be inert — its active-node frontier — in index order on one
+//! thread, so a round costs O(active), not O(m).
 //! [`Engine::par_run`] shards the ring into contiguous arcs, one scoped
 //! thread per arc, exchanging only the per-round boundary messages; because
 //! delivery is round-delayed and each `next` vector has exactly one writer
 //! per round, the two produce bit-for-bit identical [`RunReport`]s.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::checkpoint::{self, CheckpointError, Decoder, Encoder, Persist, Snapshot, StagedBlob};
 use crate::error::SimError;
@@ -1036,6 +1039,123 @@ fn synthesize_quiet_samples(
     }
 }
 
+/// `Frontier::parked_at` value of a node that is on the frontier.
+const AWAKE: u64 = u64::MAX;
+
+/// The sequential executor's active-node frontier: the nodes a round has to
+/// step. A node leaves it by *parking* — after a step in which it did no
+/// work it promises, through [`Node::quiescence`], to stay inert
+/// (`backlog == 0`, `span ≥ 1`) while its inboxes are empty — and comes back
+/// when a neighbor sends to it or the promise runs out. The rounds it
+/// skipped are owed to it as one [`Node::fast_forward`] call, paid before
+/// its state is next stepped or observed. Stepping a listed node is always
+/// legal; only skipping needs the promise, so stale entries are harmless.
+#[derive(Default)]
+struct Frontier {
+    /// Nodes stepped this round, ascending — the order the trace, the
+    /// oracle and the arc merge rely on.
+    active: Vec<u32>,
+    /// Nodes listed for the next round, in listing order.
+    next: Vec<u32>,
+    /// Latest round each node was listed for (de-duplicates `next`; rounds
+    /// only grow, so it is never reset).
+    listed_for: Vec<u64>,
+    /// First round each parked node was not stepped, [`AWAKE`] otherwise.
+    parked_at: Vec<u64>,
+    /// `(wake round, node)` of parked nodes whose promise is finite.
+    wake: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Frontier {
+    /// Puts all `m` nodes on the frontier with nothing owed.
+    fn seed(&mut self, m: usize) {
+        let m32 = u32::try_from(m).expect("ring size fits the frontier's u32 node ids");
+        self.active.clear();
+        self.active.extend(0..m32);
+        self.next.clear();
+        self.next.reserve(m);
+        self.listed_for.resize(m, 0);
+        self.parked_at.clear();
+        self.parked_at.resize(m, AWAKE);
+        self.wake.clear();
+    }
+
+    /// Lists node `i` for `round` (the one after the round being swept).
+    fn list(&mut self, i: usize, round: u64) {
+        if self.listed_for[i] != round {
+            self.listed_for[i] = round;
+            self.next.push(i as u32);
+        }
+    }
+
+    /// Parks node `i`: `round` is the first it will not be stepped in,
+    /// `span` its promise from there.
+    fn park(&mut self, i: usize, round: u64, span: u64) {
+        self.parked_at[i] = round;
+        if let Some(wake) = round.checked_add(span) {
+            self.wake.push(Reverse((wake, i as u32)));
+        }
+    }
+
+    /// Pays node `i` the rounds it skipped before `t`.
+    fn settle<N: Node>(&mut self, i: usize, t: u64, node: &mut N) {
+        let since = std::mem::replace(&mut self.parked_at[i], AWAKE);
+        if since < t {
+            node.fast_forward(t - since);
+        }
+    }
+
+    /// Pays every parked node the rounds it skipped before `t`, leaving it
+    /// parked: afterwards node state is exactly what the full sweep's is.
+    fn settle_all<N: Node>(&mut self, t: u64, nodes: &mut [N]) {
+        for (since, node) in self.parked_at.iter_mut().zip(nodes) {
+            if *since < t {
+                node.fast_forward(t - *since);
+                *since = t;
+            }
+        }
+    }
+
+    /// Turns the round: `next`, plus every parked node whose promise ends
+    /// by `round`, becomes the ascending `active` list of `round`.
+    fn turn(&mut self, round: u64) {
+        while let Some(&Reverse((wake, i))) = self.wake.peek() {
+            if wake > round {
+                break;
+            }
+            self.wake.pop();
+            self.list(i as usize, round);
+        }
+        std::mem::swap(&mut self.active, &mut self.next);
+        self.next.clear();
+        // Listing order is ascending except around the wrap and the wake
+        // heap, so most rounds skip the sort.
+        if !self.active.windows(2).all(|w| w[0] < w[1]) {
+            self.active.sort_unstable();
+        }
+    }
+}
+
+/// Buffers the sequential executor hands back at a pause so the next span
+/// reuses them instead of reallocating: the `next` arenas (empty at every
+/// step boundary, inner capacities kept) and the frontier's vectors. It
+/// carries capacity, never state — every span re-seeds the frontier.
+struct SeqScratch<M> {
+    next_cw: Vec<Vec<M>>,
+    next_ccw: Vec<Vec<M>>,
+    frontier: Frontier,
+}
+
+impl<M> Default for SeqScratch<M> {
+    fn default() -> Self {
+        SeqScratch {
+            next_cw: Vec::new(),
+            next_ccw: Vec::new(),
+            frontier: Frontier::default(),
+        }
+    }
+}
+
 /// The snapshot-sink callback installed by [`Engine::on_checkpoint`].
 type SnapshotSink = dyn FnMut(&Snapshot) -> Result<(), CheckpointError> + Send;
 
@@ -1060,6 +1180,9 @@ struct ResumeState<M> {
     metrics: Metrics,
     trace: Trace,
     obs: Option<Observability>,
+    /// Boxed to keep a pause small; `None` from everything but a
+    /// sequential pause.
+    scratch: Option<Box<SeqScratch<M>>>,
 }
 
 /// The synchronous executor.
@@ -1223,6 +1346,7 @@ impl<N: Node> Engine<N> {
             metrics: snap.metrics.clone(),
             trace: Trace::from_events(snap.trace_level, snap.events.clone()),
             obs: snap.observability.clone(),
+            scratch: None,
         };
         Ok(Engine {
             topo: RingTopology::new(m),
@@ -1449,6 +1573,22 @@ impl<N: Node> Engine<N> {
         self.run_bounded(Some(pause_at))
     }
 
+    /// The sequential executor behind [`Engine::run`] and
+    /// [`Engine::run_span`].
+    ///
+    /// A round steps the [`Frontier`], not the ring: a node that did no
+    /// work and promises (`quiescence(t + 1)` with `backlog == 0`,
+    /// `span ≥ 1`) to stay inert on empty inboxes is parked until a
+    /// neighbor sends to it or the promise ends, and is paid the skipped
+    /// rounds with one `fast_forward` when it wakes. Draining nodes stay
+    /// listed — they are the work. Every parked debt is settled wherever
+    /// node state becomes observable: a pause, a checkpoint, the
+    /// compression vote, completion, the step-budget error. A span starts
+    /// with all `m` nodes listed, as does the round after a compressed
+    /// span. Under a fault plan (stalled owners, link queues that drain
+    /// while the owner sleeps) or with `observe` on (every sample reads
+    /// every node's `pending_work`) nobody parks and the same loop body
+    /// sweeps all `m` nodes every round.
     fn run_bounded(&mut self, pause_at: Option<u64>) -> Result<SpanOutcome, SimError> {
         assert!(
             !self.finished,
@@ -1465,7 +1605,7 @@ impl<N: Node> Engine<N> {
         // buffers nodes stage their sends into before `transmit` meters them
         // onto the (possibly degraded) links. Allocated only when a plan is
         // set; without one the arenas are written directly.
-        let plan = self.config.faults.clone();
+        let plan = self.config.faults.as_ref();
         let qm = if plan.is_some() { m } else { 0 };
 
         // Double-buffered message arenas, indexed by *receiving* node:
@@ -1474,12 +1614,10 @@ impl<N: Node> Engine<N> {
         // round's sends. The pairs swap roles each round; every vector keeps
         // its capacity, so the steady-state loop does not allocate. A resume
         // replaces the fresh-start state with the snapshot's mid-run image;
-        // `next_*` are empty at every step boundary, so they always start
-        // fresh.
+        // `next_*` are empty at every step boundary, so a paused engine
+        // hands back the vectors themselves and anything else starts fresh.
         let resume = self.resume.take();
         let start_t = resume.as_ref().map_or(0, |r| r.t0);
-        let mut next_cw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
-        let mut next_ccw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
         let (
             mut metrics,
             mut trace,
@@ -1489,6 +1627,7 @@ impl<N: Node> Engine<N> {
             mut queue_cw,
             mut queue_ccw,
             mut prev_round_departed,
+            scratch,
         ) = match resume {
             Some(r) => (
                 r.metrics,
@@ -1499,6 +1638,7 @@ impl<N: Node> Engine<N> {
                 r.queue_cw,
                 r.queue_ccw,
                 r.prev_round_departed,
+                r.scratch,
             ),
             None => (
                 Metrics::new(m),
@@ -1509,8 +1649,20 @@ impl<N: Node> Engine<N> {
                 (0..qm).map(|_| VecDeque::new()).collect(),
                 (0..qm).map(|_| VecDeque::new()).collect(),
                 0u64,
+                None,
             ),
         };
+        let SeqScratch {
+            mut next_cw,
+            mut next_ccw,
+            mut frontier,
+        } = scratch.map(|boxed| *boxed).unwrap_or_default();
+        next_cw.resize_with(m, Vec::new);
+        next_ccw.resize_with(m, Vec::new);
+        // Nobody parks under a fault plan or with observability on: the
+        // frontier then stays the whole ring, round after round.
+        let parking = plan.is_none() && obs.is_none();
+        frontier.seed(m);
         let mut stage_cw: Vec<N::Msg> = Vec::new();
         let mut stage_ccw: Vec<N::Msg> = Vec::new();
         let record_audit = matches!(self.config.trace, TraceLevel::Full);
@@ -1521,7 +1673,7 @@ impl<N: Node> Engine<N> {
         // inbox is empty this round), the first step at which the fault
         // plan is provably inert, and a reusable backlog scratch buffer.
         let compress = self.config.compress;
-        let fault_horizon = plan.as_ref().map_or(0, |p| p.horizon());
+        let fault_horizon = plan.map_or(0, FaultPlan::horizon);
         let mut quiet_backlogs: Vec<u64> = Vec::new();
 
         // Checkpoints fire only when both a cadence and a sink are set.
@@ -1534,6 +1686,7 @@ impl<N: Node> Engine<N> {
         let mut t: u64 = start_t;
         loop {
             if t >= max_steps {
+                frontier.settle_all(t, &mut self.nodes);
                 return Err(SimError::ExceededMaxSteps {
                     max_steps,
                     processed: processed_total,
@@ -1547,6 +1700,7 @@ impl<N: Node> Engine<N> {
             // to the caller. Completion is checked at the end of round t-1,
             // so a finished run never pauses.
             if pause_at == Some(t) {
+                frontier.settle_all(t, &mut self.nodes);
                 self.resume = Some(ResumeState {
                     t0: t,
                     prev_round_departed,
@@ -1557,6 +1711,11 @@ impl<N: Node> Engine<N> {
                     metrics,
                     trace,
                     obs,
+                    scratch: Some(Box::new(SeqScratch {
+                        next_cw,
+                        next_ccw,
+                        frontier,
+                    })),
                 });
                 return Ok(SpanOutcome::Paused {
                     t,
@@ -1569,6 +1728,7 @@ impl<N: Node> Engine<N> {
             // all trace events < t), so the snapshot is self-contained.
             if let Some(every) = cp_every {
                 if t > start_t && t % every == 0 {
+                    frontier.settle_all(t, &mut self.nodes);
                     let hook = self.checkpoint.as_mut().expect("gated on hook presence");
                     let snap = build_snapshot(
                         hook.save_msg,
@@ -1577,7 +1737,7 @@ impl<N: Node> Engine<N> {
                         t,
                         prev_round_departed,
                         self.config.trace,
-                        plan.as_ref(),
+                        plan,
                         &metrics,
                         trace.events(),
                         obs.as_ref(),
@@ -1620,6 +1780,7 @@ impl<N: Node> Engine<N> {
                     // boundary (p > t here: the pause check above returned).
                     budget = budget.min(p - t);
                 }
+                frontier.settle_all(t, &mut self.nodes);
                 if let Some(k) = arc_quiescence(&self.nodes, t, &mut quiet_backlogs)
                     .and_then(|(span, max_b)| compression_k(span, max_b, budget))
                 {
@@ -1647,6 +1808,7 @@ impl<N: Node> Engine<N> {
                     for node in self.nodes.iter_mut() {
                         node.fast_forward(k);
                     }
+                    frontier.seed(m);
                     t += k;
                     metrics.steps = t;
                     if processed_total > self.total_work {
@@ -1680,7 +1842,7 @@ impl<N: Node> Engine<N> {
             // A stalled processor does not consume its inbox: carry the
             // undelivered messages over to its next step before anyone
             // writes this round's sends (so they stay in front).
-            if let Some(plan) = plan.as_ref() {
+            if let Some(plan) = plan {
                 for i in 0..m {
                     if !plan.node_runs(i, t) {
                         round_departed += (cur_cw[i].len() + cur_ccw[i].len()) as u64;
@@ -1695,7 +1857,11 @@ impl<N: Node> Engine<N> {
                 t,
                 ..StepSample::default()
             };
-            for i in 0..m {
+            for at in 0..frontier.active.len() {
+                let i = frontier.active[at] as usize;
+                if parking {
+                    frontier.settle(i, t, &mut self.nodes[i]);
+                }
                 let ctx = NodeCtx {
                     id: i,
                     t,
@@ -1714,7 +1880,7 @@ impl<N: Node> Engine<N> {
                 // `FaultLinks` keeps one writer per destination slot even
                 // when a plan reroutes departures through link queues.
                 let (step, dep_cw, dep_ccw) = {
-                    let faults = plan.as_ref().map(|plan| FaultLinks {
+                    let faults = plan.map(|plan| FaultLinks {
                         plan,
                         queue_cw: &mut queue_cw[i],
                         queue_ccw: &mut queue_ccw[i],
@@ -1805,6 +1971,29 @@ impl<N: Node> Engine<N> {
                     sample.max_pending = sample.max_pending.max(pending);
                     sample.total_pending += pending;
                 }
+                if parking {
+                    // Listed counterclockwise neighbor first, clockwise last,
+                    // so `next` comes out ascending away from the wrap.
+                    if dep_ccw.messages > 0 {
+                        frontier.list(dest_ccw, t + 1);
+                    }
+                    // A node that worked is kept without asking; one that
+                    // still holds backlog is the work the cost should follow.
+                    let promise = match step.work_done {
+                        0 => self.nodes[i].quiescence(t + 1),
+                        _ => None,
+                    };
+                    match promise {
+                        Some(q) if q.backlog == 0 && q.span >= 1 => frontier.park(i, t + 1, q.span),
+                        _ => frontier.list(i, t + 1),
+                    }
+                    if dep_cw.messages > 0 {
+                        frontier.list(dest_cw, t + 1);
+                    }
+                }
+            }
+            if parking {
+                frontier.turn(t + 1);
             }
             metrics.peak_inflight_jobs = metrics.peak_inflight_jobs.max(inflight_payload);
             if let Some(o) = obs.as_mut() {
@@ -1826,6 +2015,7 @@ impl<N: Node> Engine<N> {
                 });
             }
             if processed_total == self.total_work {
+                frontier.settle_all(t, &mut self.nodes);
                 debug_assert!(
                     self.nodes.iter().all(|n| n.pending_work() == 0),
                     "all work processed but a node still reports pending work"
@@ -2673,6 +2863,7 @@ mod par {
             metrics: Metrics::new(m),
             trace: Trace::new(config.trace),
             obs: config.observe.then(|| Observability::new(m)),
+            scratch: None,
         });
         let ResumeState {
             t0,
@@ -2684,6 +2875,7 @@ mod par {
             metrics: base_metrics,
             trace: base_trace,
             obs: base_obs,
+            scratch: _,
         } = base;
 
         // Whole-ring arenas, split below into per-arc slices.
@@ -2928,6 +3120,7 @@ mod par {
                 metrics,
                 trace: Trace::from_events(config.trace, events),
                 obs,
+                scratch: None,
             }));
         }
         if processed_total < total_work {
@@ -3042,10 +3235,9 @@ mod par {
         // `lo + j`'s own promise (`Node::quiescence` with `backlog == 0`)
         // that, given empty inboxes, every round before `quiet_until[j]` is
         // a total no-op — no sends, no processing, no audits, no state
-        // change. Such rounds skip `step_node_and_links` entirely, which is
-        // what lets the sharded executor beat the sequential reference on
-        // sparse rings: `Engine::run` sweeps all `m` nodes every round,
-        // the arc loop only touches the active frontier. The cache is
+        // change. Such rounds skip `step_node_and_links` entirely — the
+        // per-node form, inside a scan of the arc, of the parking rule
+        // `Engine::run` drives its frontier with. The cache is
         // invalidated whenever the node actually steps; a delivery makes
         // the inbox non-empty, which disables the skip on its own.
         //
@@ -3818,6 +4010,7 @@ mod par {
             metrics: Metrics::new(m),
             trace: Trace::new(config.trace),
             obs: config.observe.then(|| Observability::new(m)),
+            scratch: None,
         });
         let ResumeState {
             t0,
@@ -3829,6 +4022,7 @@ mod par {
             metrics: mut base_metrics,
             trace: base_trace,
             obs: mut base_obs,
+            scratch: _,
         } = base;
         let run_start_t = t0;
         let mut base_t0 = t0;
@@ -3922,6 +4116,7 @@ mod par {
                     metrics,
                     trace: Trace::from_events(config.trace, events),
                     obs,
+                    scratch: None,
                 }));
             }
 
@@ -5118,6 +5313,96 @@ mod tests {
         assert_eq!(obs.links.ccw_messages, vec![0; 6]);
         let json = obs.to_json();
         assert!(json.contains("\"num_processors\":6"));
+    }
+
+    /// Counts the rounds it lived through, stepped or fast-forwarded, and
+    /// insists on having lived through all of them whenever it is stepped.
+    struct Sleeper {
+        ticks: u64,
+        backlog: u64,
+        /// Sends one empty potato clockwise in this round.
+        send_at: Option<u64>,
+    }
+
+    impl Node for Sleeper {
+        type Msg = Potato;
+
+        fn on_step(&mut self, ctx: &NodeCtx, io: &mut StepIo<'_, Potato>) -> u64 {
+            assert_eq!(self.ticks, ctx.t, "node {} woke with rounds owed", ctx.id);
+            self.ticks += 1;
+            if self.send_at == Some(ctx.t) {
+                io.out.push(Direction::Cw, Potato(0));
+            }
+            let work = self.backlog.min(1);
+            self.backlog -= work;
+            work
+        }
+
+        fn pending_work(&self) -> u64 {
+            self.backlog
+        }
+
+        fn quiescence(&self, now: u64) -> Option<Quiescence> {
+            let span = match self.send_at {
+                Some(s) if s >= now => s - now,
+                _ => u64::MAX,
+            };
+            Some(Quiescence {
+                span,
+                backlog: self.backlog,
+            })
+        }
+
+        fn fast_forward(&mut self, steps: u64) {
+            self.ticks += steps;
+            self.backlog -= self.backlog.min(steps);
+        }
+    }
+
+    #[test]
+    fn parked_nodes_are_paid_every_round_they_skipped() {
+        // Two piles, one of them outlasting a late sender (a finite promise
+        // for the wake heap) whose potato wakes a parked neighbor.
+        let ring = || -> Vec<Sleeper> {
+            (0..9)
+                .map(|i| Sleeper {
+                    ticks: 0,
+                    backlog: [7, 0, 0, 0, 40, 0, 0, 0, 0][i],
+                    send_at: (i == 6).then_some(17),
+                })
+                .collect()
+        };
+        for compress in [false, true] {
+            let config = EngineConfig {
+                compress,
+                ..EngineConfig::default()
+            };
+            let mut whole = Engine::new(ring(), 47, config.clone());
+            let report = whole.run().unwrap();
+            assert_eq!(report.makespan, 40);
+            assert_eq!(report.metrics.messages_sent, 1);
+            for node in whole.nodes() {
+                assert_eq!(
+                    node.ticks, report.metrics.steps,
+                    "compress={compress}: at completion"
+                );
+            }
+
+            let mut spans = Engine::new(ring(), 47, config);
+            let mut pause_at = 0;
+            let spanned = loop {
+                pause_at += 5;
+                match spans.run_span(pause_at).unwrap() {
+                    SpanOutcome::Done(report) => break *report,
+                    SpanOutcome::Paused { t, .. } => {
+                        for node in spans.nodes() {
+                            assert_eq!(node.ticks, t, "compress={compress}: at pause {t}");
+                        }
+                    }
+                }
+            };
+            assert_eq!(spanned, report, "compress={compress}");
+        }
     }
 
     #[test]

@@ -68,10 +68,7 @@ fn interrupted(resume_cfg: ServiceConfig) -> (Vec<LogEntry>, u64, Vec<LogEntry>)
     let path = std::env::temp_dir().join(format!(
         "ringsvc-recovery-{}-{}.ringsnap",
         std::process::id(),
-        resume_cfg
-            .executor
-            .shards_for(resume_cfg.m)
-            .map_or(0, |s| s)
+        resume_cfg.executor.shards_for().map_or(0, |s| s)
     ));
     snap.write_to_file(&path).expect("write snapshot");
     let restored_snap = Snapshot::read_from_file(&path).expect("read snapshot");
