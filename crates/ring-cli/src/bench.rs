@@ -15,9 +15,7 @@
 
 use ring_sched::{run_fabric, FabricAlgo};
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
-use ring_sim::{
-    AnyTopology, Clique, EngineConfig, ParConfig, ParStrategy, SpanOutcome, Topology, Torus2D,
-};
+use ring_sim::{AnyTopology, Clique, EngineConfig, SpanOutcome, Topology, Torus2D};
 use ring_workloads::pagemig::PageMigration;
 use std::collections::HashMap;
 use std::process::exit;
@@ -35,14 +33,6 @@ const SPAN_ROUNDS: u64 = 256;
 /// The topology (torus/clique) cells stop at 2^16 nodes: they baseline
 /// the generic fabric engine, not the million-node span axis.
 const FABRIC_MAX_M: usize = 1 << 16;
-
-/// The stealing gate (`--gate-steal`): at this ring size and above,
-/// work-stealing + ledger rebalancing must beat the static-arc parallel
-/// executor on the hotspot shape by at least [`STEAL_GATE_RATIO`].
-const STEAL_GATE_MIN_M: usize = 4096;
-
-/// Required `hotspot-*-steal-over-static` ratio at [`STEAL_GATE_MIN_M`]+.
-const STEAL_GATE_RATIO: f64 = 1.15;
 
 /// One cell of the benchmark matrix.
 struct BenchRecord {
@@ -78,7 +68,6 @@ fn best(mut xs: Vec<Duration>) -> Duration {
 
 /// Times one configuration `reps` times (after one warmup) and returns the
 /// record for the best run.
-#[allow(clippy::too_many_arguments)]
 fn bench_case(
     key: String,
     shape: &'static str,
@@ -86,12 +75,10 @@ fn bench_case(
     repr: Representation,
     compress: bool,
     shards: usize,
-    par: ParConfig,
     reps: usize,
 ) -> BenchRecord {
     let cfg = EngineConfig {
         compress,
-        par,
         ..EngineConfig::default()
     };
     let exec = |spec: &StreamSpec| {
@@ -130,11 +117,7 @@ fn bench_case(
             Representation::Coalesced => "coalesced",
         },
         executor: if shards > 1 {
-            match (par.strategy, par.rebalance) {
-                (Some(ParStrategy::Steal), Some(false)) => format!("par_steal_norebal({shards})"),
-                (Some(ParStrategy::Steal), _) => format!("par_steal({shards})"),
-                _ => format!("par_run({shards})"),
-            }
+            format!("par_run({shards})")
         } else {
             "run".to_string()
         },
@@ -203,10 +186,8 @@ fn bench_span_case(key: String, spec: &StreamSpec, shards: usize, reps: usize) -
 /// hotspot neighborhood with a thin uniform background; collapsing the
 /// script's arrivals into initial loads (quota = load, so every unit drains
 /// where it sits) yields a ring where a few contiguous stretches hold large
-/// backlogs and the rest quiesce after a handful of rounds. A static
-/// contiguous-arc cut leaves whichever arc owns the hot stretch as the
-/// critical path every round; ledger-driven rebalancing + stealing split it
-/// across workers — exactly the gap the `--gate-steal` ratio measures.
+/// backlogs and the rest quiesce after a handful of rounds — the shape
+/// where the task pool has something to steal.
 fn hotspot_spec(m: usize) -> StreamSpec {
     let burst = (m as u64 / 2).max(4);
     let script = PageMigration::new(m, 16, 1, burst).script(1994);
@@ -446,16 +427,7 @@ fn run_matrix(
                 ("coalesced", Representation::Coalesced),
             ] {
                 let key = format!("spread-m{m}-{exec_name}-{repr_name}");
-                results.push(bench_case(
-                    key,
-                    "spread",
-                    &spread,
-                    repr,
-                    false,
-                    s,
-                    ParConfig::default(),
-                    reps,
-                ));
+                results.push(bench_case(key, "spread", &spread, repr, false, s, reps));
             }
             let per_unit =
                 find_jobs_per_sec(&results, &format!("spread-m{m}-{exec_name}-per_unit"));
@@ -486,7 +458,6 @@ fn run_matrix(
                 Representation::Coalesced,
                 compress,
                 1,
-                ParConfig::default(),
                 reps,
             ));
         }
@@ -496,25 +467,9 @@ fn run_matrix(
             key: format!("drain-m{m}-compress"),
             ratio: compressed / plain,
         });
-        // The hotspot shape is the imbalanced-arc axis: sequential
-        // reference, static contiguous arcs, and work-stealing with the
-        // ledger rebalancer on and off.
+        // The hotspot shape is the imbalanced-ring axis.
         let hotspot = hotspot_spec(m);
-        let steal = |rebalance: bool| ParConfig {
-            strategy: Some(ParStrategy::Steal),
-            rebalance: Some(rebalance),
-            ..ParConfig::default()
-        };
-        let static_par = ParConfig {
-            strategy: Some(ParStrategy::Static),
-            ..ParConfig::default()
-        };
-        for (tag, s, par) in [
-            ("run", 1usize, ParConfig::default()),
-            ("par-static", shards, static_par),
-            ("par-steal", shards, steal(true)),
-            ("steal-norebal", shards, steal(false)),
-        ] {
+        for (tag, s) in [("run", 1usize), ("par", shards)] {
             let key = format!("hotspot-m{m}-{tag}");
             results.push(bench_case(
                 key,
@@ -523,25 +478,14 @@ fn run_matrix(
                 Representation::Coalesced,
                 false,
                 s,
-                par,
                 reps,
             ));
         }
         let run_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-run"));
-        let static_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par-static"));
-        let steal_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par-steal"));
-        let norebal_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-steal-norebal"));
+        let par_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par"));
         speedups.push(SpeedupRecord {
             key: format!("hotspot-m{m}-par-over-run"),
-            ratio: steal_h / run_h,
-        });
-        speedups.push(SpeedupRecord {
-            key: format!("hotspot-m{m}-steal-over-static"),
-            ratio: steal_h / static_h,
-        });
-        speedups.push(SpeedupRecord {
-            key: format!("hotspot-m{m}-rebalance"),
-            ratio: steal_h / norebal_h,
+            ratio: par_h / run_h,
         });
     }
     (results, speedups)
@@ -552,9 +496,7 @@ fn run_matrix(
 /// Flags: `--json <path>` (write the report), `--sizes 256,1024,4096`
 /// (sizes above 8192 run in fixed-span mode), `--reps <n>`, `--shards
 /// <n>`, `--check <baseline.json>` (fail if any speedup ratio present in
-/// both runs dropped below 80% of the baseline), `--gate-steal` (fail
-/// unless stealing + rebalancing beats the static-arc executor by ≥1.15×
-/// on the hotspot shape at 4096+ nodes).
+/// both runs dropped below 80% of the baseline).
 pub fn cmd_bench(flags: &HashMap<String, String>) {
     let sizes: Vec<usize> = flags
         .get("sizes")
@@ -605,62 +547,9 @@ pub fn cmd_bench(flags: &HashMap<String, String>) {
         println!("\nwrote {path}");
     }
 
-    if flags.contains_key("gate-steal") {
-        gate_steal_over_static(&speedups);
-    }
-
     if let Some(baseline_path) = flags.get("check") {
         check_speedups(&speedups, baseline_path);
     }
-}
-
-/// Enforces the stealing gate: every `hotspot-*-steal-over-static` ratio
-/// measured on a ring of at least [`STEAL_GATE_MIN_M`] nodes must reach
-/// [`STEAL_GATE_RATIO`] — work-stealing + ledger rebalancing has to beat
-/// the static-arc executor decisively on the imbalanced shape, not tie it.
-/// Exits non-zero on failure.
-fn gate_steal_over_static(speedups: &[SpeedupRecord]) {
-    let mut gated = 0;
-    let mut failed = false;
-    for s in speedups {
-        if !s.key.ends_with("-steal-over-static") {
-            continue;
-        }
-        let m: usize = s
-            .key
-            .split("-m")
-            .nth(1)
-            .and_then(|rest| rest.split('-').next())
-            .and_then(|digits| digits.parse().ok())
-            .unwrap_or_else(|| panic!("malformed speedup key {}", s.key));
-        if m < STEAL_GATE_MIN_M {
-            continue;
-        }
-        gated += 1;
-        let ok = s.ratio >= STEAL_GATE_RATIO;
-        println!(
-            "gate {:<28} {:>8.2}x {}",
-            s.key,
-            s.ratio,
-            if ok {
-                "ok"
-            } else {
-                "FAILED (stealing must beat static arcs by 1.15x)"
-            }
-        );
-        failed |= !ok;
-    }
-    if gated == 0 {
-        eprintln!("--gate-steal needs at least one size of {STEAL_GATE_MIN_M}+ nodes at or below {SPAN_ONLY_ABOVE}");
-        exit(1);
-    }
-    if failed {
-        eprintln!(
-            "stealing gate failed: steal+rebalance did not beat static arcs by {STEAL_GATE_RATIO}x at m >= {STEAL_GATE_MIN_M}"
-        );
-        exit(1);
-    }
-    println!("stealing gate: steal+rebalance beats static arcs on all {gated} gated shapes");
 }
 
 /// Compares current speedup ratios against a checked-in baseline file and

@@ -31,12 +31,11 @@ fn service_config(flags: &HashMap<String, String>) -> ServiceConfig {
     if flags.contains_key("slo") {
         cfg = cfg.with_slo_horizon(crate::get_u64(flags, "slo", u64::MAX));
     }
-    // Executor selection: the default is `auto` (the measured best, which
-    // is the sequential executor at every size benched); `--par <n>` forces
-    // n shards, `--par seq` forces the sequential executor.
+    // The default is the sequential executor (the measured best at every
+    // size benched); `--par <n>` runs n shards, `--par seq` states the
+    // default.
     match flags.get("par").map(String::as_str) {
-        None | Some("auto") => {}
-        Some("seq") | Some("0") => cfg = cfg.with_executor(ExecutorMode::Sequential),
+        None | Some("seq") | Some("0") => {}
         Some(_) => cfg = cfg.with_shards(crate::get_u64(flags, "par", 8).max(1) as usize),
     }
     cfg
@@ -258,8 +257,6 @@ fn bench_load(m: usize) -> (ServiceConfig, LoadgenConfig) {
 fn service_bench_cell(m: usize, mode: ExecutorMode, label: &str) -> ServiceBenchRecord {
     let (cfg, load) = bench_load(m);
     let cfg = cfg.with_executor(mode);
-    // Record what the mode *resolves to* so the auto cell documents its
-    // pick.
     let executor = match mode.shards_for() {
         Some(s) => format!("par_run({s})"),
         None => "run".to_string(),
@@ -310,14 +307,9 @@ pub fn cmd_bench_service(flags: &HashMap<String, String>) {
         eprintln!("benchmarking service on m={m}...");
         let seq = service_bench_cell(m, ExecutorMode::Sequential, "run");
         let par = service_bench_cell(m, ExecutorMode::Parallel(shards), "par");
-        let auto = service_bench_cell(m, ExecutorMode::Auto, "auto");
         assert_eq!(
             seq.digest, par.digest,
             "executor choice changed the m={m} completion log"
-        );
-        assert_eq!(
-            seq.digest, auto.digest,
-            "auto executor selection changed the m={m} completion log"
         );
         speedups.push(SpeedupRecord {
             key: format!("service-m{m}-tail-spread"),
@@ -329,7 +321,6 @@ pub fn cmd_bench_service(flags: &HashMap<String, String>) {
         });
         results.push(seq);
         results.push(par);
-        results.push(auto);
     }
 
     println!(

@@ -3,8 +3,9 @@
 //!
 //! All three executors implement the same synchronous round-delayed model,
 //! and every policy in the workspace is deterministic, so the schedules must
-//! agree *exactly* — the arc-parallel engine bit-for-bit on the whole
-//! [`RunReport`] (metrics, trace, observability), the thread-per-processor
+//! agree *exactly* — the parallel engine bit-for-bit on the whole
+//! [`RunReport`] (metrics, trace, observability) for every window, shard
+//! count, task granularity, steal seed and pool size, the thread-per-processor
 //! executor on everything it reports (makespan, per-node work, message
 //! count). Divergence under any executor means either a policy peeked at
 //! non-local state or an executor broke the model — both bugs this file
@@ -18,12 +19,12 @@ use ring_sched::unit::{
 };
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
 use ring_sim::{
-    check_run, CheckpointError, Engine, EngineConfig, FaultPlan, Instance, ParConfig, ParStrategy,
-    RunReport, SimError, Snapshot, TraceLevel,
+    check_run, CheckpointError, Engine, EngineConfig, FaultPlan, Instance, ParConfig, RunReport,
+    SimError, Snapshot, TraceLevel,
 };
 use std::sync::{Arc, Mutex};
 
-/// Runs a unit-algorithm config through the arc-parallel engine.
+/// Runs a unit-algorithm config through the parallel engine.
 fn par_run_unit(inst: &Instance, cfg: &UnitConfig, shards: usize) -> Result<RunReport, SimError> {
     let nodes = build_unit_nodes(inst, cfg);
     let engine_cfg = EngineConfig {
@@ -38,15 +39,28 @@ fn par_run_unit(inst: &Instance, cfg: &UnitConfig, shards: usize) -> Result<RunR
     Engine::new(nodes, inst.total_work(), engine_cfg).par_run(shards)
 }
 
-/// A fully-pinned work-stealing executor config (no environment fallbacks),
-/// so each test case states exactly which schedule knobs it exercises.
-fn steal_par(rebalance: bool, tasks: usize, steal_seed: u64, threads: Option<usize>) -> ParConfig {
+/// The worker-pool sizes the battery forces: machine-fit (`None`),
+/// leader-only, and oversubscribed (more threads than any CI runner has
+/// cores), so the interleavings range from fully serial polls to genuinely
+/// preemptive schedules.
+const THREAD_FORCES: [Option<usize>; 3] = [None, Some(1), Some(8)];
+
+/// One draw of the task pool's schedule knobs: `(tasks per shard, steal
+/// seed, index into THREAD_FORCES)`.
+type Pool = (usize, u64, usize);
+
+/// The proptest strategy for [`Pool`]: random task granularity,
+/// adversarial seeded steal timings, every forced pool size.
+fn pools() -> impl Strategy<Value = Pool> {
+    (1usize..5, 0u64..1_000_000_000, 0usize..3)
+}
+
+fn pool_config((tasks, steal_seed, threads): Pool) -> ParConfig {
     ParConfig {
-        strategy: Some(ParStrategy::Steal),
-        rebalance: Some(rebalance),
         tasks_per_shard: Some(tasks),
         steal_seed: Some(steal_seed),
-        threads,
+        threads: THREAD_FORCES[threads],
+        ..ParConfig::default()
     }
 }
 
@@ -74,15 +88,19 @@ fn all_six_configs_agree_across_all_three_executors() {
             // covers every field the report can carry.
             let cfg = cfg.with_trace().with_observe();
             let seq = run_unit(&inst, &cfg).unwrap();
-            for shards in [2, 3, 7] {
-                for window in WINDOWS {
-                    let par = par_run_unit(&inst, &cfg.with_window(window), shards).unwrap();
-                    assert_eq!(
-                        seq.report,
-                        par,
-                        "{name}/{shards} shards/window {window} diverged on {:?}",
-                        inst.loads()
-                    );
+            for shards in [1usize, 2, 3, 7] {
+                for pool in [(4, 0, 0), (1, 1, 1), (2, 0xDEAD, 2)] {
+                    for window in WINDOWS {
+                        let mut pcfg = cfg.with_window(window);
+                        pcfg.par = pool_config(pool);
+                        let par = par_run_unit(&inst, &pcfg, shards).unwrap();
+                        assert_eq!(
+                            seq.report,
+                            par,
+                            "{name}/{shards} shards/pool {pool:?}/window {window} diverged on {:?}",
+                            inst.loads()
+                        );
+                    }
                 }
             }
             let thr = run_unit_threaded(&inst, &cfg).unwrap();
@@ -118,9 +136,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
 
     /// Random instances, random fault plans, all six §6 algorithms, shard
-    /// counts {1, 2, 3, 7}: `run` and `par_run` produce bit-identical
-    /// `RunReport`s under the same plan, every run still places and
-    /// processes all work, and the trace-replay oracle accepts it.
+    /// counts {1, 2, 3, 7}, random task granularity, adversarial seeded
+    /// steal timings, and worker pools from leader-only to oversubscribed:
+    /// `run` and `par_run` produce bit-identical `RunReport`s under the
+    /// same plan, every run still places and processes all work, and the
+    /// trace-replay oracle accepts it.
     ///
     /// The base 64 cases scale with `RING_FAULT_SEEDS` (CI sets it to 8 for
     /// a 512-case soak).
@@ -130,13 +150,15 @@ proptest! {
         alg in 0usize..6,
         seed in 0u64..1_000_000,
         window in 0usize..4,
+        pool in pools(),
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
         let inst = Instance::from_loads(loads);
         let m = inst.num_processors();
         let plan = FaultPlan::random(m, 48, seed);
         let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        let mut cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        cfg.par = pool_config(pool);
 
         let seq = run_unit_faulty(&inst, &cfg, &plan).unwrap();
         prop_assert_eq!(
@@ -159,9 +181,10 @@ proptest! {
             prop_assert_eq!(
                 &seq.report,
                 &par.report,
-                "{} with {} shards diverged under {:?}",
+                "{} with {} shards, pool {:?} diverged under {:?}",
                 name,
                 shards,
+                pool,
                 &plan
             );
         }
@@ -182,6 +205,7 @@ proptest! {
         alg in 0usize..6,
         seed in 0u64..1_000_000,
         window in 0usize..4,
+        pool in pools(),
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
         let inst = Instance::from_loads(loads);
@@ -189,7 +213,8 @@ proptest! {
         let plan = FaultPlan::random(m, 48, seed);
         let (name, cfg) = UnitConfig::all_six()[alg];
         let cfg = cfg.with_trace().with_observe();
-        let compressed_cfg = cfg.with_compress().with_window(WINDOWS[window]);
+        let mut compressed_cfg = cfg.with_compress().with_window(WINDOWS[window]);
+        compressed_cfg.par = pool_config(pool);
 
         let plain = run_unit_faulty(&inst, &cfg, &plan).unwrap();
         let compressed = run_unit_faulty(&inst, &compressed_cfg, &plan).unwrap();
@@ -229,10 +254,10 @@ proptest! {
     /// instance, and random fault plan, a run checkpointed every `every`
     /// steps reports bit-identically to the plain run; a snapshot taken at
     /// a random boundary — round-tripped through its byte encoding —
-    /// resumes to the *same* bit-identical `RunReport`, with save and
-    /// restore shard counts drawn independently from {1, 2, 3, 7} (or the
-    /// sequential engine), and the trace-replay oracle accepts the stitched
-    /// full trace.
+    /// resumes to the *same* bit-identical `RunReport`, with the save and
+    /// restore sides drawing shard counts from {1, 2, 3, 7} (or the
+    /// sequential engine) and task-pool knobs independently, and the
+    /// trace-replay oracle accepts the stitched full trace.
     #[test]
     fn resume_is_bit_identical_under_fault_plans(
         loads in prop::collection::vec(0u64..100, 2..20),
@@ -243,6 +268,8 @@ proptest! {
         restore_shards in 0usize..5,
         pick in 0usize..64,
         window in 0usize..4,
+        save_pool in pools(),
+        restore_pool in pools(),
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
         const SHARDS: [usize; 4] = [1, 2, 3, 7];
@@ -253,11 +280,13 @@ proptest! {
         let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
 
         let base = run_unit_faulty(&inst, &cfg, &plan).unwrap();
+        let mut save_cfg = cfg;
+        save_cfg.par = pool_config(save_pool);
         let snaps = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&snaps);
         let checkpointed = run_unit_checkpointed(
             &inst,
-            &cfg,
+            &save_cfg,
             Some(&plan),
             Some(SHARDS[save_shards]),
             every,
@@ -287,15 +316,20 @@ proptest! {
         // Round-trip through the byte encoding, like a real recovery would.
         let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         let restore = (restore_shards < 4).then(|| SHARDS[restore_shards]);
-        let resumed = resume_unit(&cfg, &snap, restore).unwrap();
+        let mut restore_cfg = cfg;
+        restore_cfg.par = pool_config(restore_pool);
+        let resumed = resume_unit(&restore_cfg, &snap, restore).unwrap();
         prop_assert_eq!(
             &base.report,
             &resumed.report,
-            "{} resumed from t={} (saved on {} shards, restored on {:?}) diverged under {:?}",
+            "{} resumed from t={} (saved on {} shards, pool {:?}; restored on {:?}, pool {:?}) \
+             diverged under {:?}",
             name,
             snap.t,
             SHARDS[save_shards],
+            save_pool,
             restore,
+            restore_pool,
             &plan
         );
         let violations = check_run(&inst, &resumed.report, Some(&plan));
@@ -316,7 +350,7 @@ proptest! {
     /// caps each span at the next boundary so snapshots land exactly on
     /// `t % every == 0`); the split must be unobservable: with compression
     /// on and a random cadence, the report still matches the plain
-    /// uncompressed run bit-for-bit — sequentially and arc-parallel, with
+    /// uncompressed run bit-for-bit — sequentially and in parallel, with
     /// and without a fault plan — and resuming from a random boundary of
     /// the compressed run reproduces it again.
     #[test]
@@ -329,6 +363,7 @@ proptest! {
         faulty in 0u8..2,
         pick in 0usize..64,
         window in 0usize..4,
+        pool in pools(),
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
         const SHARDS: [usize; 4] = [1, 2, 3, 7];
@@ -336,7 +371,8 @@ proptest! {
         let m = inst.num_processors();
         let plan = (faulty == 1).then(|| FaultPlan::random(m, 48, seed));
         let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        let mut cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        cfg.par = pool_config(pool);
 
         let base = match &plan {
             Some(p) => run_unit_faulty(&inst, &cfg, p),
@@ -393,7 +429,7 @@ proptest! {
     /// Count-coalesced runs are unobservable: a random stream workload
     /// reports bit-identically whether its surplus travels as per-unit
     /// arena entries or coalesced runs, with and without step compression,
-    /// sequentially and arc-parallel. (Fault-free by design: a bandwidth
+    /// sequentially and in parallel. (Fault-free by design: a bandwidth
     /// cap can split a per-unit stream mid-step but never a coalesced run,
     /// so capped links are outside the representation-equivalence contract —
     /// see DESIGN.md §10.)
@@ -404,6 +440,7 @@ proptest! {
         sink in 0usize..16,
         shards in 2usize..8,
         window in 0usize..4,
+        pool in pools(),
     ) {
         prop_assume!(initial.iter().sum::<u64>() > 0);
         let m = initial.len();
@@ -424,6 +461,7 @@ proptest! {
             observe: true,
             compress,
             window: Some(WINDOWS[window]),
+            par: pool_config(pool),
             ..EngineConfig::default()
         };
         let base_report = stream_engine(&spec, Representation::PerUnit, full(false))
@@ -461,11 +499,13 @@ proptest! {
         alg in 0usize..6,
         shards in 2usize..9,
         window in 0usize..4,
+        pool in pools(),
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
         let inst = Instance::from_loads(loads);
         let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        let mut cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
+        cfg.par = pool_config(pool);
 
         let seq = run_unit(&inst, &cfg).unwrap();
         let par = par_run_unit(&inst, &cfg, shards).unwrap();
@@ -482,178 +522,5 @@ proptest! {
         prop_assert_eq!(seq.makespan, thr.makespan);
         prop_assert_eq!(&seq.report.metrics.processed_per_node, &thr.processed_per_node);
         prop_assert_eq!(seq.report.metrics.messages_sent, thr.messages_sent);
-    }
-}
-
-/// The worker-pool sizes the steal battery forces: machine-fit (`None`),
-/// leader-only, and oversubscribed (more threads than any CI runner has
-/// cores), so the interleavings range from fully serial polls to genuinely
-/// preemptive schedules.
-const THREAD_FORCES: [Option<usize>; 3] = [None, Some(1), Some(8)];
-
-#[test]
-fn stealing_matches_the_sequential_report_bit_for_bit() {
-    for inst in cases() {
-        for (name, cfg) in UnitConfig::all_six() {
-            let cfg = cfg.with_trace().with_observe();
-            let seq = run_unit(&inst, &cfg).unwrap();
-            for shards in [1usize, 2, 3, 7] {
-                for (rebalance, tasks, seed) in [(true, 4, 0), (false, 1, 1), (true, 2, 0xDEAD)] {
-                    for window in WINDOWS {
-                        let mut scfg = cfg.with_window(window);
-                        scfg.par = steal_par(rebalance, tasks, seed, None);
-                        let par = par_run_unit(&inst, &scfg, shards).unwrap();
-                        assert_eq!(
-                            seq.report,
-                            par,
-                            "{name}/{shards} shards/steal(rebalance={rebalance}, tasks={tasks}, \
-                             seed={seed})/window {window} diverged on {:?}",
-                            inst.loads()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
-
-    /// Work-stealing is unobservable: random instances, random fault plans,
-    /// all six §6 algorithms, shard counts {1, 2, 3, 7}, rebalancing on and
-    /// off, random task granularity, adversarial seeded steal timings, and
-    /// worker pools from leader-only to oversubscribed — the stolen run's
-    /// `RunReport` is bit-identical to the sequential one and the
-    /// trace-replay oracle accepts it.
-    #[test]
-    fn stealing_is_unobservable_under_fault_plans(
-        loads in prop::collection::vec(0u64..100, 2..20),
-        alg in 0usize..6,
-        seed in 0u64..1_000_000,
-        window in 0usize..4,
-        rebalance in 0u8..2,
-        tasks in 1usize..5,
-        steal_seed in 0u64..1_000_000_000,
-        threads in 0usize..3,
-    ) {
-        prop_assume!(loads.iter().sum::<u64>() > 0);
-        let inst = Instance::from_loads(loads);
-        let m = inst.num_processors();
-        let plan = FaultPlan::random(m, 48, seed);
-        let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
-
-        let seq = run_unit_faulty(&inst, &cfg, &plan).unwrap();
-        for shards in [1usize, 2, 3, 7] {
-            let mut scfg = cfg;
-            scfg.par = steal_par(rebalance == 1, tasks, steal_seed, THREAD_FORCES[threads]);
-            let par = run_unit_par_faulty(&inst, &scfg, &plan, shards).unwrap();
-            prop_assert_eq!(
-                &seq.report,
-                &par.report,
-                "{} stolen on {} shards (rebalance={}, tasks={}, seed={}, threads={:?}) \
-                 diverged under {:?}",
-                name,
-                shards,
-                rebalance == 1,
-                tasks,
-                steal_seed,
-                THREAD_FORCES[threads],
-                &plan
-            );
-        }
-        let violations = check_run(&inst, &seq.report, Some(&plan));
-        prop_assert!(violations.is_empty(), "{} oracle violations: {:?}", name, violations);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
-
-    /// Checkpoint/restore composes with stealing: a run checkpointed under
-    /// the steal executor reports bit-identically to the plain sequential
-    /// run, and a snapshot from a random boundary — byte-round-tripped —
-    /// resumes bit-identically, with the save and restore sides drawing
-    /// shard counts, rebalancing, and steal seeds independently. Snapshots
-    /// stay shard-count- and schedule-independent, so any mix must stitch.
-    #[test]
-    fn steal_resume_is_bit_identical_under_fault_plans(
-        loads in prop::collection::vec(0u64..100, 2..20),
-        alg in 0usize..6,
-        seed in 0u64..1_000_000,
-        every in 1u64..16,
-        save_shards in 0usize..4,
-        restore_shards in 0usize..4,
-        save_rebalance in 0u8..2,
-        restore_rebalance in 0u8..2,
-        steal_seed in 0u64..1_000_000_000,
-        pick in 0usize..64,
-        window in 0usize..4,
-    ) {
-        prop_assume!(loads.iter().sum::<u64>() > 0);
-        const SHARDS: [usize; 4] = [1, 2, 3, 7];
-        let inst = Instance::from_loads(loads);
-        let m = inst.num_processors();
-        let plan = FaultPlan::random(m, 48, seed);
-        let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe().with_window(WINDOWS[window]);
-
-        let base = run_unit_faulty(&inst, &cfg, &plan).unwrap();
-
-        let mut save_cfg = cfg;
-        save_cfg.par = steal_par(save_rebalance == 1, 1 + (pick % 4), steal_seed, None);
-        let snaps = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&snaps);
-        let checkpointed = run_unit_checkpointed(
-            &inst,
-            &save_cfg,
-            Some(&plan),
-            Some(SHARDS[save_shards]),
-            every,
-            "",
-            move |s: &Snapshot| -> Result<(), CheckpointError> {
-                log.lock().unwrap().push(s.clone());
-                Ok(())
-            },
-        )
-        .unwrap();
-        prop_assert_eq!(
-            &base.report,
-            &checkpointed.report,
-            "{} stolen checkpointing every {} on {} shards changed the report under {:?}",
-            name,
-            every,
-            SHARDS[save_shards],
-            &plan
-        );
-
-        let snaps = snaps.lock().unwrap();
-        if snaps.is_empty() {
-            return Ok(());
-        }
-        let snap = &snaps[pick % snaps.len()];
-        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        let mut restore_cfg = cfg;
-        restore_cfg.par = steal_par(restore_rebalance == 1, 1 + (pick % 3), !steal_seed, None);
-        let resumed = resume_unit(&restore_cfg, &snap, Some(SHARDS[restore_shards])).unwrap();
-        prop_assert_eq!(
-            &base.report,
-            &resumed.report,
-            "{} resumed stolen from t={} (saved on {} shards, restored on {}) diverged under {:?}",
-            name,
-            snap.t,
-            SHARDS[save_shards],
-            SHARDS[restore_shards],
-            &plan
-        );
-        let violations = check_run(&inst, &resumed.report, Some(&plan));
-        prop_assert!(
-            violations.is_empty(),
-            "{} oracle rejected the stolen resumed run under {:?}: {:?}",
-            name,
-            &plan,
-            violations
-        );
     }
 }

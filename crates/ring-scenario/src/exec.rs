@@ -15,7 +15,7 @@ use ring_compete::{measure, measure_suite, policy_by_name, report_digest, CaseRa
 use ring_sched::dynamic::{run_dynamic, run_dynamic_par, DynamicInstance};
 use ring_sched::unit::{run_unit, run_unit_faulty, run_unit_par, run_unit_par_faulty};
 use ring_sched::{run_fabric, FabricAlgo, UnitConfig};
-use ring_sim::engine::{ParStrategy, RunReport};
+use ring_sim::engine::RunReport;
 use ring_sim::{AnyTopology, EngineConfig, Instance, Topology, TraceFile, TraceLevel};
 use ring_workloads::catalog::{catalog, catalog_case, Part};
 use ring_workloads::{random, structured};
@@ -141,13 +141,11 @@ fn apply_executor(plan: &Plan, mut cfg: UnitConfig) -> UnitConfig {
     if let Some(w) = ex.window {
         cfg = cfg.with_window(w);
     }
-    if ex.mode == ExecMode::Steal {
-        cfg.par.strategy = Some(ParStrategy::Steal);
-        cfg.par.rebalance = ex.rebalance;
-        cfg.par.tasks_per_shard = ex.tasks_per_shard;
-        cfg.par.steal_seed = ex.steal_seed;
-        cfg.par.threads = ex.threads;
-    }
+    // The grammar admits these keys under `mode = steal` only; elsewhere
+    // they are `None` and the executor's defaults apply.
+    cfg.par.tasks_per_shard = ex.tasks_per_shard;
+    cfg.par.steal_seed = ex.steal_seed;
+    cfg.par.threads = ex.threads;
     cfg
 }
 
@@ -240,10 +238,7 @@ fn run_fabric_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
     if plan.trace_full {
         config.trace = TraceLevel::Full;
     }
-    if plan.executor.mode == ExecMode::Steal {
-        config.par.strategy = Some(ParStrategy::Steal);
-        config.par.steal_seed = plan.executor.steal_seed;
-    }
+    config.par.steal_seed = plan.executor.steal_seed;
     let shards = match plan.executor.mode {
         ExecMode::Run => None,
         _ => Some(plan.executor.shards.unwrap_or(DEFAULT_SHARDS)),

@@ -166,9 +166,11 @@ pub enum ExecMode {
     /// The sequential reference executor (the default).
     #[default]
     Run,
-    /// The arc-parallel executor with static contiguous arcs.
+    /// The parallel executor with its default pool knobs.
     Par,
-    /// The work-stealing executor with ledger rebalancing.
+    /// The same parallel executor; this mode is what lets a plan state
+    /// `tasks-per-shard`, `steal-seed`, `threads` (and the inert
+    /// `rebalance`).
     Steal,
 }
 
@@ -196,7 +198,8 @@ pub struct ExecutorSpec {
     pub window: Option<u64>,
     /// Quiescent-span step compression.
     pub compress: bool,
-    /// Ledger-driven arc recuts (steal only).
+    /// Parsed and rendered, otherwise ignored since PR 15; removed with
+    /// the next `benchmark` PR.
     pub rebalance: Option<bool>,
     /// Stealing granularity (steal only).
     pub tasks_per_shard: Option<usize>,

@@ -429,9 +429,7 @@ pub fn run_fabric(
 mod tests {
     use super::*;
     use crate::capacitated::{build_capacitated_nodes, run_capacitated};
-    use ring_sim::{
-        check_fabric_run, Fabric, Instance, LinkCapacity, ParStrategy, RingLift, TraceLevel,
-    };
+    use ring_sim::{check_fabric_run, Fabric, Instance, LinkCapacity, RingLift, TraceLevel};
 
     fn full_cfg() -> EngineConfig {
         EngineConfig {
@@ -518,11 +516,14 @@ mod tests {
             let loads: Vec<u64> = (0..topo.len()).map(|i| ((i * 3) % 8) as u64).collect();
             let seq = run_fabric(&topo, &loads, algo, full_cfg(), None).unwrap();
             for shards in [2, 4] {
-                for strategy in [ParStrategy::Static, ParStrategy::Steal] {
+                for steal_seed in [0, 1] {
                     let mut cfg = full_cfg();
-                    cfg.par.strategy = Some(strategy);
+                    cfg.par.steal_seed = Some(steal_seed);
                     let par = run_fabric(&topo, &loads, algo, cfg, Some(shards)).unwrap();
-                    assert_eq!(seq, par, "{spec} {algo:?} shards={shards} {strategy:?}");
+                    assert_eq!(
+                        seq, par,
+                        "{spec} {algo:?} shards={shards} seed={steal_seed}"
+                    );
                 }
             }
         }

@@ -120,13 +120,13 @@ pub struct UnitConfig {
     /// ([`EngineConfig::compress`] — bit-identical results, fewer engine
     /// rounds on drain-dominated instances).
     pub compress: bool,
-    /// Locality-window override for the arc-parallel executor
+    /// Locality-window override for the parallel executor
     /// ([`EngineConfig::window`] — bit-identical results for every value;
-    /// `None` defers to `RING_WINDOW` / the engine default).
+    /// `None` is the engine default).
     pub window: Option<u64>,
-    /// Parallel-executor strategy knobs ([`EngineConfig::par`] — static
-    /// contiguous arcs vs work-stealing with ledger-driven rebalancing;
-    /// bit-identical results for every setting).
+    /// Parallel-executor scheduling knobs ([`EngineConfig::par`] — task
+    /// granularity, steal seed, pool size; bit-identical results for
+    /// every setting).
     pub par: ParConfig,
 }
 

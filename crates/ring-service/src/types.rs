@@ -11,16 +11,13 @@ use ring_sched::unit::UnitConfig;
 /// `ringsched bench-service --sizes 256,4096` (2 cores, three runs,
 /// completed jobs per wall second): m = 256 `run` 2.2–4.7 M vs
 /// `par_run(8)` 0.62–0.77 M; m = 4096 `run` 7.6–8.9 M vs `par_run(8)`
-/// 2.2–2.6 M and `par_run(2)` 2.3–3.5 M. `run` wins every cell, so `Auto`
-/// resolves to it.
+/// 2.2–2.6 M and `par_run(2)` 2.3–3.5 M. `run` wins every cell, so it is
+/// the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorMode {
-    /// The measured best executor for the ring size and machine: today
-    /// always [`ring_sim::Engine::run_span`] (see the cells above).
-    Auto,
-    /// Always [`ring_sim::Engine::run_span`].
+    /// [`ring_sim::Engine::run_span`] (the default).
     Sequential,
-    /// Always `par_run_span` on this many shards (must be > 0).
+    /// `par_run_span` on this many shards (must be > 0).
     Parallel(usize),
 }
 
@@ -29,7 +26,7 @@ impl ExecutorMode {
     /// `Some(s)` = parallel on `s` shards.
     pub fn shards_for(self) -> Option<usize> {
         match self {
-            ExecutorMode::Auto | ExecutorMode::Sequential => None,
+            ExecutorMode::Sequential => None,
             ExecutorMode::Parallel(s) => Some(s),
         }
     }
@@ -77,7 +74,7 @@ impl ServiceConfig {
             epoch: 32,
             queue_cap: u64::MAX,
             slo_horizon: u64::MAX,
-            executor: ExecutorMode::Auto,
+            executor: ExecutorMode::Sequential,
         }
     }
 
@@ -110,8 +107,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Runs generations on the arc-parallel executor unconditionally
-    /// (shorthand for `with_executor(ExecutorMode::Parallel(shards))`).
+    /// Runs generations on the parallel executor (shorthand for
+    /// `with_executor(ExecutorMode::Parallel(shards))`).
     ///
     /// # Panics
     ///

@@ -34,10 +34,11 @@
 //! [`Engine::run`] steps the nodes that have mail, hold work or have not
 //! promised to be inert — its active-node frontier — in index order on one
 //! thread, so a round costs O(active), not O(m).
-//! [`Engine::par_run`] shards the ring into contiguous arcs, one scoped
-//! thread per arc, exchanging only the per-round boundary messages; because
-//! delivery is round-delayed and each `next` vector has exactly one writer
-//! per round, the two produce bit-for-bit identical [`RunReport`]s.
+//! [`Engine::par_run`] cuts the ring into contiguous node-range tasks that
+//! a small worker pool advances window by window, exchanging only the
+//! per-round boundary messages; because delivery is round-delayed and each
+//! `next` vector has exactly one writer per round, the two produce
+//! bit-for-bit identical [`RunReport`]s.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -440,7 +441,9 @@ pub struct EngineConfig {
     /// looping. Metrics, trace, and observability record the expanded
     /// per-step view, so the [`RunReport`] is bit-for-bit identical to the
     /// uncompressed run (asserted by the workspace's equivalence proptests).
-    /// Off by default.
+    /// Off by default. Honored by [`Engine::run`]; the parallel executor
+    /// accepts and ignores it (its asleep-task skip already makes a quiet
+    /// round O(tasks), and the report is the same either way).
     pub compress: bool,
     /// Snapshot cadence: request a checkpoint at every step boundary `t`
     /// divisible by this value (and after the resume point). Only effective
@@ -454,115 +457,71 @@ pub struct EngineConfig {
     /// The engine never interprets it; the CLI stores the flags needed to
     /// rebuild the policy nodes at resume time.
     pub checkpoint_meta: String,
-    /// Locality window for the arc-parallel executor: how many rounds each
-    /// arc steps between global synchronization points. Within a window,
-    /// arcs exchange boundary messages through round-tagged halo mailboxes
-    /// (a neighbor handshake, no global barrier); completion, errors,
-    /// checkpoints, compression votes and span pauses are all resolved at
-    /// window boundaries, which the engine aligns so the report stays
-    /// bit-for-bit identical to [`Engine::run`] for *every* window size.
-    /// `None` (default) reads the `RING_WINDOW` environment variable
-    /// (`"L"` means "as large as the shortest arc") and otherwise uses a
-    /// built-in default. Ignored by the sequential executor.
+    /// Locality window for the parallel executor: how many rounds the task
+    /// pool advances between leader-run synchronization points. Within a
+    /// window, tasks exchange boundary messages through round-tagged halo
+    /// mailboxes (a neighbor handshake, no global barrier); completion,
+    /// errors, checkpoints and span pauses are all resolved at window
+    /// boundaries, which the engine aligns so the report stays bit-for-bit
+    /// identical to [`Engine::run`] for *every* window size. `None`
+    /// (default) is 64 rounds; `Some(u64::MAX)` means "as long as the
+    /// shortest task range"; every value is clamped to `1..=4096`. Ignored
+    /// by the sequential executor.
     pub window: Option<u64>,
-    /// Parallel-executor strategy knobs (see [`ParConfig`]). Ignored by the
-    /// sequential executor.
+    /// Parallel-executor scheduling knobs — task granularity, steal seed,
+    /// pool size (see [`ParConfig`]). Ignored by the sequential executor.
     pub par: ParConfig,
 }
 
-/// Which parallel executor [`Engine::par_run`] dispatches to.
+/// Inert: [`Engine::par_run`] has one executor (DESIGN.md §6) and reads
+/// neither value. Kept only because `benchmark/` still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParStrategy {
-    /// One scoped thread per shard, each owning a fixed contiguous arc for
-    /// the whole run (the PR-6 windowed executor).
+    /// Ignored since PR 15; removed with the next `benchmark` PR.
     Static,
-    /// A work-stealing pool: the ring is cut into more node-range tasks
-    /// than threads, workers steal whichever task is runnable, and the
-    /// leader recuts the ranges from the ledger's per-node processed
-    /// counts when a window exposes imbalance (see DESIGN.md §14). The
-    /// report stays bit-identical to [`Engine::run`] for every shard
-    /// count, task granularity, steal schedule and rebalance history.
+    /// Ignored since PR 15; removed with the next `benchmark` PR.
     Steal,
 }
 
-/// Tuning for the parallel executor. Every field falls back to an
-/// environment variable and then a built-in default, so benches and CI
-/// matrices can steer the executor without threading flags everywhere:
-/// `RING_PAR_STRAT` (`"static"`/`"steal"`), `RING_REBALANCE` (`0`/`1`),
-/// `RING_STEAL_TASKS` (tasks per shard), `RING_STEAL_SEED`.
+/// Tuning for the parallel executor. An unset field takes its built-in
+/// default; none of them can change a report byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParConfig {
-    /// Executor strategy; defaults to [`ParStrategy::Static`].
+    /// Ignored since PR 15; removed with the next `benchmark` PR.
     pub strategy: Option<ParStrategy>,
-    /// Recut task ranges at window boundaries when the ledger shows
-    /// imbalance (steal strategy only); defaults to on.
+    /// Ignored since PR 15; removed with the next `benchmark` PR.
     pub rebalance: Option<bool>,
-    /// Node-range tasks per shard (steal strategy only); more tasks give
-    /// finer stealing granularity at slightly more handshake overhead.
-    /// Defaults to 4.
+    /// Node-range tasks per shard; more tasks give finer stealing
+    /// granularity at slightly more handshake overhead. Defaults to 4.
     pub tasks_per_shard: Option<usize>,
     /// Seed perturbing the steal order (which end of the task queue each
     /// worker pops). Reports are schedule-independent, so this is purely an
     /// adversarial-testing knob. Defaults to 0.
     pub steal_seed: Option<u64>,
-    /// Worker threads for the steal executor. Defaults to
+    /// Worker threads for one window's pool. Defaults to
     /// `min(shards, tasks, available cores)` — tasks beyond the core count
-    /// only add scheduling churn, never throughput. Setting this (or
-    /// `RING_PAR_THREADS`) forces a count, which is how CI exercises
+    /// only add scheduling churn, never throughput. Setting this forces a
+    /// count, which is how the equivalence batteries exercise
     /// oversubscribed interleavings on small runners; reports are
     /// schedule-independent either way.
     pub threads: Option<usize>,
 }
 
 impl ParConfig {
-    fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// The strategy after environment fallback.
-    pub fn resolved_strategy(&self) -> ParStrategy {
-        self.strategy.unwrap_or_else(|| {
-            match std::env::var("RING_PAR_STRAT")
-                .ok()
-                .as_deref()
-                .map(str::trim)
-            {
-                Some(s) if s.eq_ignore_ascii_case("steal") => ParStrategy::Steal,
-                _ => ParStrategy::Static,
-            }
-        })
-    }
-
-    /// Whether window-boundary rebalancing is on, after environment
-    /// fallback.
-    pub fn resolved_rebalance(&self) -> bool {
-        self.rebalance
-            .unwrap_or_else(|| Self::env_or::<u64>("RING_REBALANCE", 1) != 0)
-    }
-
-    /// Tasks per shard, after environment fallback; clamped to `>= 1`.
+    /// Tasks per shard (default 4), clamped to `>= 1`.
     pub fn resolved_tasks_per_shard(&self) -> usize {
-        self.tasks_per_shard
-            .unwrap_or_else(|| Self::env_or("RING_STEAL_TASKS", 4))
-            .max(1)
+        self.tasks_per_shard.unwrap_or(4).max(1)
     }
 
-    /// Steal-order seed, after environment fallback.
+    /// Steal-order seed (default 0).
     pub fn resolved_steal_seed(&self) -> u64 {
-        self.steal_seed
-            .unwrap_or_else(|| Self::env_or("RING_STEAL_SEED", 0))
+        self.steal_seed.unwrap_or(0)
     }
 
-    /// Worker-thread cap for one window's pool, after environment fallback;
-    /// `None` means "fit the machine" (cap at the available cores).
+    /// Worker-thread cap for one window's pool, clamped to `>= 1`; `None`
+    /// means "fit the machine" (cap at the available cores).
     pub fn resolved_threads(&self) -> Option<usize> {
-        self.threads
-            .map(Some)
-            .unwrap_or_else(|| std::env::var("RING_PAR_THREADS").ok()?.trim().parse().ok())
-            .map(|n: usize| n.max(1))
+        self.threads.map(|n| n.max(1))
     }
 }
 
@@ -832,8 +791,8 @@ struct FaultLinks<'a, M> {
 }
 
 /// Steps one node and drains its two directed links for one round — the
-/// single per-node kernel shared by [`Engine::run`] and the arc-parallel
-/// executor (previously copy-adapted between the two).
+/// single per-node kernel shared by [`Engine::run`] and the parallel
+/// executor.
 ///
 /// Without fault state the node writes straight into the destination
 /// arenas and the departures mirror its outbox meters; with fault state the
@@ -2034,24 +1993,28 @@ impl<N: Node> Engine<N> {
         }
     }
 
-    /// Runs the simulation to completion on `shards` scoped threads, each
-    /// owning one contiguous arc of the ring.
+    /// Runs the simulation to completion on a pool of up to `shards` scoped
+    /// threads advancing `shards × tasks_per_shard` contiguous node-range
+    /// tasks (see [`ParConfig`]).
     ///
     /// The executor exploits ring locality: a message moves one hop per
     /// round, so inside a *locality window* of `k` rounds (see
-    /// [`EngineConfig::window`]) each thread only ever synchronizes with
-    /// its two neighbors, through round-tagged halo mailboxes carrying the
-    /// boundary send history — no global barrier. Global coordination
-    /// (completion detection, error resolution, checkpoint snapshots,
-    /// compression votes) happens at window boundaries, which the engine
-    /// aligns with every barrier-based protocol's cadence; rounds computed
-    /// past a completion are rolled back. Because message delivery is
-    /// round-delayed, node evaluation order is unobservable, and every
-    /// arena slot still has exactly one writer per round — so the result is
-    /// **bit-for-bit identical** to [`Engine::run`] for every window size:
-    /// same [`RunReport`] (metrics, trace and observability included), same
-    /// error on invalid policies. The equivalence is asserted across the
-    /// paper's §6 algorithm catalog by the workspace's property tests.
+    /// [`EngineConfig::window`]) a task only ever synchronizes with its two
+    /// neighbors, through round-tagged halo mailboxes carrying the boundary
+    /// send history — no global barrier; a task blocked on a neighbor is
+    /// requeued and the worker takes another. Between windows the calling
+    /// thread owns the whole ring and resolves completion, errors,
+    /// checkpoint snapshots, pauses and the step budget in the sequential
+    /// engine's order; windows are cut so each of those lands on a window
+    /// boundary, and rounds computed past a completion are rolled back.
+    /// Because message delivery is round-delayed, node evaluation order is
+    /// unobservable, and every arena slot still has exactly one writer per
+    /// round — so the result is **bit-for-bit identical** to
+    /// [`Engine::run`] for every window size, task granularity and steal
+    /// schedule: same [`RunReport`] (metrics, trace and observability
+    /// included), same error on invalid policies. The equivalence is
+    /// asserted across the paper's §6 algorithm catalog by the workspace's
+    /// property tests.
     ///
     /// `shards` is clamped to the ring size; `shards <= 1` delegates to
     /// [`Engine::run`].
@@ -2073,7 +2036,7 @@ impl<N: Node> Engine<N> {
     /// The parallel counterpart of [`Engine::run_span`]: advances the ring
     /// on `shards` scoped threads until completion or step `pause_at`,
     /// whichever comes first. Pausing, like checkpointing, happens at a
-    /// barrier-aligned step boundary; the reassembled whole-ring state is
+    /// window boundary; the whole-ring state the leader holds there is
     /// identical to what a sequential span leaves behind, so spans may
     /// freely alternate executors and shard counts — the eventual report is
     /// bit-for-bit identical regardless (asserted by the workspace's
@@ -2124,30 +2087,17 @@ impl<N: Node> Engine<N> {
         let max_steps = self.max_steps();
         let resume = self.resume.take();
 
-        let sharded = match self.config.par.resolved_strategy() {
-            ParStrategy::Static => par::run_sharded(
-                &mut self.nodes,
-                self.topo,
-                self.total_work,
-                max_steps,
-                &self.config,
-                shards,
-                resume,
-                self.checkpoint.as_mut(),
-                pause_at,
-            ),
-            ParStrategy::Steal => par::run_stolen(
-                &mut self.nodes,
-                self.topo,
-                self.total_work,
-                max_steps,
-                &self.config,
-                shards,
-                resume,
-                self.checkpoint.as_mut(),
-                pause_at,
-            ),
-        };
+        let sharded = par::run_stolen(
+            &mut self.nodes,
+            self.topo,
+            self.total_work,
+            max_steps,
+            &self.config,
+            shards,
+            resume,
+            self.checkpoint.as_mut(),
+            pause_at,
+        );
         match sharded? {
             par::Sharded::Done(report) => {
                 self.self_check(&report);
@@ -2177,10 +2127,10 @@ fn load_link_queue<M: Persist>(blobs: &[StagedBlob]) -> Result<LinkQueue<M>, Che
 }
 
 /// Serializes the complete engine state at a step boundary into a canonical
-/// [`Snapshot`]. Shared by the sequential executor (whole-ring call) and —
-/// piecewise, via `par::arc_image` + `par::stitch_snapshot` — the parallel
-/// one, which is why the per-collection encodings live in
-/// [`crate::checkpoint`] rather than inline here.
+/// [`Snapshot`]: the one `RINGSNAP` writer of the ring engine. The
+/// sequential executor calls it on its own loop state, the parallel
+/// leader on the whole-ring state it owns between windows (after merging
+/// the task partials), so both produce the same bytes.
 #[allow(clippy::too_many_arguments)]
 fn build_snapshot<N: Node>(
     save_msg: fn(&N::Msg, &mut Encoder),
@@ -2254,15 +2204,15 @@ fn build_snapshot<N: Node>(
     })
 }
 
-/// The arc-parallel executor internals.
+/// The parallel executor internals.
 mod par {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
+    use std::sync::Mutex;
 
-    /// Everything one arc accumulates locally; merged deterministically
-    /// after the threads join. `Clone` because a checkpoint boundary
-    /// snapshots the partial mid-run (see `arc_image`).
+    /// Everything one task accumulates locally; merged deterministically
+    /// by the leader. `Clone` because a checkpoint boundary merges a copy
+    /// of the partials mid-run.
     #[derive(Clone)]
     struct ArcPartial {
         lo: usize,
@@ -2281,39 +2231,13 @@ mod par {
         obs: Option<Observability>,
     }
 
-    /// What `run_sharded` resolved to: a finished report, or — when a
+    /// What `run_stolen` resolved to: a finished report, or — when a
     /// `pause_at` boundary was reached first — the whole-ring mid-run image
     /// the engine keeps for the next span (the same state a checkpoint at
     /// that boundary would serialize).
     pub(super) enum Sharded<M> {
         Done(RunReport),
         Paused(ResumeState<M>),
-    }
-
-    /// Everything one arc hands back when its loop exits: the metric/trace
-    /// partial plus the loop-carried state (`run_sharded` needs the link
-    /// queues and departure count to rebuild a [`ResumeState`] on pause;
-    /// completed runs drop them).
-    struct ArcOutcome<M> {
-        partial: ArcPartial,
-        queue_cw: Vec<LinkQueue<M>>,
-        queue_ccw: Vec<LinkQueue<M>>,
-        prev_departed: u64,
-        paused: bool,
-    }
-
-    /// Shared per-round quiescence ballot (see the compression block in
-    /// `run_arc`). Every arc merges its local candidacy under the lock,
-    /// then reads the merged state back after the vote barrier; `tag` is
-    /// the round the entry describes, and the first arc to write a new
-    /// round resets the merge. The span to fast-forward is then a pure
-    /// function of the merged state, so every arc computes the same `k`
-    /// and the per-round barrier counts stay uniform.
-    struct Vote {
-        tag: u64,
-        quiet: bool,
-        min_span: u64,
-        max_backlog: u64,
     }
 
     /// Error found by an arc, keyed for "first error wins" merging: the
@@ -2338,7 +2262,7 @@ mod par {
     ///
     /// The producer arc appends its boundary-crossing sends for round `t`
     /// (when there are any) and then publishes `done = t + 1`; the consumer
-    /// spins (then yields) until `done` covers the round it needs and
+    /// polls (never blocks) until `done` covers the round it needs and
     /// drains every entry tagged `<= t` into its inbox. Adjacent arcs are
     /// mutually rate-limited through these counters — neither can start
     /// round `t + 1` before the other has finished `t` — so the queue never
@@ -2386,20 +2310,6 @@ mod par {
             self.done.0.store(u64::MAX, Ordering::Release);
         }
 
-        /// Consumer side: wait until the producer has finished round `t`.
-        fn await_round(&self, t: u64) {
-            let need = t + 1;
-            let mut spins = 0u32;
-            while self.done.0.load(Ordering::Acquire) < need {
-                spins = spins.wrapping_add(1);
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-
         /// Consumer side, non-blocking: has the producer finished round
         /// `t`? An abandoned halo (`u64::MAX`) reads as ready so consumers
         /// never wait on a failed producer.
@@ -2441,37 +2351,8 @@ mod par {
         }
     }
 
-    /// The shared completion ledger: per-round processed sums for the
-    /// current window plus the committed total (`cum_base`) of every window
-    /// before it. Written once per arc per *window* (not per round — this
-    /// replaces the old per-step shared atomic); the boundary scan over it
-    /// reproduces the sequential engine's end-of-round bookkeeping exactly.
-    /// Tagged like the compression ballot: the first arc committing a new
-    /// window folds the previous one into `cum_base` and resets.
-    struct Ledger {
-        tag: u64,
-        cum_base: u64,
-        rounds: Vec<u64>,
-    }
-
-    impl Ledger {
-        fn commit(&mut self, win_start: u64, round_processed: &[u64]) {
-            if self.tag != win_start {
-                self.cum_base += self.rounds.drain(..).sum::<u64>();
-                self.tag = win_start;
-            }
-            if self.rounds.len() < round_processed.len() {
-                self.rounds.resize(round_processed.len(), 0);
-            }
-            for (dst, src) in self.rounds.iter_mut().zip(round_processed) {
-                *dst += src;
-            }
-        }
-    }
-
-    /// What a window boundary resolved to. Every arc computes this from the
-    /// same post-barrier ledger and flag state, so all arcs agree without
-    /// reading each other's conclusion.
+    /// What a window boundary resolved to: the leader computes it from the
+    /// tasks' per-round processed sums and the error flag.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     enum Boundary {
         /// No terminal event inside the window; open the next one.
@@ -2589,29 +2470,20 @@ mod par {
         }
     }
 
-    /// Default locality window: long enough to amortize the two boundary
-    /// barriers, short enough that the per-window bookkeeping stays small.
+    /// Default locality window: long enough to amortize the pool spawn and
+    /// the leader's boundary pass, short enough that the per-window
+    /// bookkeeping stays small.
     const DEFAULT_WINDOW: u64 = 64;
-    /// Hard cap on one window's length, bounding the ledger / undo-ring
-    /// footprint. Purely an implementation bound: boundaries are
-    /// unobservable, so splitting a longer request changes nothing.
+    /// Hard cap on one window's length, bounding the undo-ring footprint.
+    /// Purely an implementation bound: boundaries are unobservable, so
+    /// splitting a longer request changes nothing.
     const MAX_WINDOW: u64 = 4096;
 
-    /// Resolves the configured window size: explicit config, else the
-    /// `RING_WINDOW` environment variable (a round count, or `"L"` for "as
-    /// long as the shortest arc"), else [`DEFAULT_WINDOW`]; clamped to
-    /// `1..=MAX_WINDOW`.
+    /// Resolves the configured window size: [`EngineConfig::window`]
+    /// (`Some(u64::MAX)` = "as long as the shortest task range"), else
+    /// [`DEFAULT_WINDOW`]; clamped to `1..=MAX_WINDOW`.
     fn window_size(config: &EngineConfig, min_arc: usize) -> u64 {
-        let requested = config.window.or_else(|| {
-            let raw = std::env::var("RING_WINDOW").ok()?;
-            let raw = raw.trim();
-            if raw.eq_ignore_ascii_case("l") {
-                Some(u64::MAX)
-            } else {
-                raw.parse().ok()
-            }
-        });
-        let requested = match requested {
+        let requested = match config.window {
             Some(u64::MAX) => min_arc.max(1) as u64,
             Some(w) => w,
             None => DEFAULT_WINDOW,
@@ -2619,167 +2491,12 @@ mod par {
         requested.clamp(1, MAX_WINDOW)
     }
 
-    /// The run prefix a resumed parallel run continues from (fresh-start
-    /// runs use the zero prefix): needed by both the final merge and every
-    /// mid-run checkpoint stitch, since per-arc partials only describe the
-    /// delta since `t0`.
-    struct BaseCtx<'e> {
-        t0: u64,
-        metrics: &'e Metrics,
-        events: &'e [Event],
-        obs: Option<&'e Observability>,
-    }
-
-    /// Shared checkpoint coordination state for one parallel run. Every
-    /// boundary round, each arc serializes its slice into `images`; after a
-    /// barrier, arc 0 stitches them into one canonical [`Snapshot`] —
-    /// byte-identical to the sequential engine's at the same step, whatever
-    /// the shard count — and hands it to the sink.
-    struct ParCheckpoint<'e, M> {
-        every: u64,
-        start_t: u64,
-        save_msg: fn(&M, &mut Encoder),
-        app_meta: &'e str,
-        images: Mutex<Vec<Option<ArcImage>>>,
-        sink: Mutex<&'e mut SnapshotSink>,
-        base: BaseCtx<'e>,
-    }
-
-    /// One arc's serialized slice of a checkpoint: its nodes, arena cells
-    /// and link queues (already encoded, so the stitch is pure
-    /// concatenation) plus a clone of its running partial.
-    struct ArcImage {
-        nodes: Vec<Vec<u8>>,
-        arena_cw: Vec<Vec<Vec<u8>>>,
-        arena_ccw: Vec<Vec<Vec<u8>>>,
-        queue_cw: Vec<Vec<StagedBlob>>,
-        queue_ccw: Vec<Vec<StagedBlob>>,
-        prev_departed: u64,
-        partial: ArcPartial,
-    }
-
-    /// Serializes one arc's state at a step boundary. On failure returns
-    /// the *global* index of the offending node so "first error wins"
-    /// matches the sequential engine's node order exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn arc_image<N: Node>(
-        cp: &ParCheckpoint<'_, N::Msg>,
-        lo: usize,
-        nodes: &[N],
-        cur_cw: &[Vec<N::Msg>],
-        cur_ccw: &[Vec<N::Msg>],
-        queue_cw: &[LinkQueue<N::Msg>],
-        queue_ccw: &[LinkQueue<N::Msg>],
-        prev_departed: u64,
-        partial: &ArcPartial,
-    ) -> Result<ArcImage, (usize, CheckpointError)> {
-        let mut node_blobs = Vec::with_capacity(nodes.len());
-        for (j, node) in nodes.iter().enumerate() {
-            let mut enc = Encoder::new();
-            node.save_state(&mut enc).map_err(|e| (lo + j, e))?;
-            node_blobs.push(enc.into_bytes());
-        }
-        let arena = |cells: &[Vec<N::Msg>]| -> Vec<Vec<Vec<u8>>> {
-            cells
-                .iter()
-                .map(|cell| {
-                    cell.iter()
-                        .map(|msg| checkpoint::save_msg_blob(cp.save_msg, msg))
-                        .collect()
-                })
-                .collect()
-        };
-        let queues = |queues: &[LinkQueue<N::Msg>]| -> Vec<Vec<StagedBlob>> {
-            queues
-                .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|s| StagedBlob {
-                            ready: s.ready,
-                            attempts: s.attempts,
-                            msg: checkpoint::save_msg_blob(cp.save_msg, &s.msg),
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        Ok(ArcImage {
-            nodes: node_blobs,
-            arena_cw: arena(cur_cw),
-            arena_ccw: arena(cur_ccw),
-            queue_cw: queues(queue_cw),
-            queue_ccw: queues(queue_ccw),
-            prev_departed,
-            partial: partial.clone(),
-        })
-    }
-
-    /// Concatenates the per-arc images into one canonical [`Snapshot`],
-    /// using the same merge algebra as the end-of-run report
-    /// (`merge_partials`) — which is exactly why the stitched snapshot is
-    /// byte-identical to the sequential engine's.
-    fn stitch_snapshot<M>(
-        cp: &ParCheckpoint<'_, M>,
-        t: u64,
-        m: usize,
-        total_work: u64,
-        config: &EngineConfig,
-        images: Vec<ArcImage>,
-    ) -> Snapshot {
-        let mut nodes = Vec::with_capacity(m);
-        let mut arena_cw = Vec::with_capacity(m);
-        let mut arena_ccw = Vec::with_capacity(m);
-        let mut queue_cw = Vec::with_capacity(m);
-        let mut queue_ccw = Vec::with_capacity(m);
-        let mut prev_round_departed: u64 = 0;
-        let mut partials = Vec::with_capacity(images.len());
-        for img in images {
-            nodes.extend(img.nodes);
-            arena_cw.extend(img.arena_cw);
-            arena_ccw.extend(img.arena_ccw);
-            queue_cw.extend(img.queue_cw);
-            queue_ccw.extend(img.queue_ccw);
-            prev_round_departed += img.prev_departed;
-            partials.push(img.partial);
-        }
-        // Fault-free arcs carry no queues; keep the snapshot shape canonical
-        // (one entry per node), matching `build_snapshot`.
-        queue_cw.resize_with(m, Vec::new);
-        queue_ccw.resize_with(m, Vec::new);
-        let (metrics, events, observability) = merge_partials(
-            cp.base.t0,
-            cp.base.metrics,
-            cp.base.events,
-            cp.base.obs,
-            config.trace,
-            partials,
-        );
-        Snapshot {
-            m,
-            total_work,
-            t,
-            processed: metrics.total_processed(),
-            prev_round_departed,
-            trace_level: config.trace,
-            faults: config.faults.clone(),
-            metrics,
-            events,
-            observability,
-            nodes,
-            arena_cw,
-            arena_ccw,
-            queue_cw,
-            queue_ccw,
-            app_meta: cp.app_meta.to_string(),
-        }
-    }
-
     /// Deterministic merge of per-arc partials on top of a run prefix:
     /// per-node vectors add slice-wise, counters sum, the trace delta is
     /// order-restored by a stable `(step, node)` sort and appended to the
     /// prefix (every prefix event is at `t < t0`, so concatenation is
-    /// order-correct). Shared by the end-of-run merge and the mid-run
-    /// checkpoint stitch so both produce the same bytes.
+    /// order-correct). Shared by the end-of-run report, the pause image
+    /// and the mid-run checkpoint, so all three see the same metrics.
     fn merge_partials(
         t0: u64,
         base_metrics: &Metrics,
@@ -2833,1014 +2550,22 @@ mod par {
         (metrics, events, obs)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_sharded<N>(
-        nodes: &mut [N],
-        topo: RingTopology,
-        total_work: u64,
-        max_steps: u64,
-        config: &EngineConfig,
-        shards: usize,
-        resume: Option<ResumeState<N::Msg>>,
-        checkpoint: Option<&mut CheckpointHook<N::Msg>>,
-        pause_at: Option<u64>,
-    ) -> Result<Sharded<N::Msg>, SimError>
-    where
-        N: Node + Send,
-        N::Msg: Send,
-    {
-        let m = topo.len();
-
-        // The run prefix: zero for a fresh start, the snapshot's mid-run
-        // image on resume. Arcs carry only deltas relative to it.
-        let base = resume.unwrap_or_else(|| ResumeState {
-            t0: 0,
-            prev_round_departed: 0,
-            cur_cw: (0..m).map(|_| Vec::new()).collect(),
-            cur_ccw: (0..m).map(|_| Vec::new()).collect(),
-            queue_cw: Vec::new(),
-            queue_ccw: Vec::new(),
-            metrics: Metrics::new(m),
-            trace: Trace::new(config.trace),
-            obs: config.observe.then(|| Observability::new(m)),
-            scratch: None,
-        });
-        let ResumeState {
-            t0,
-            prev_round_departed: base_prev_departed,
-            mut cur_cw,
-            mut cur_ccw,
-            queue_cw: mut base_queue_cw,
-            queue_ccw: mut base_queue_ccw,
-            metrics: base_metrics,
-            trace: base_trace,
-            obs: base_obs,
-            scratch: _,
-        } = base;
-
-        // Whole-ring arenas, split below into per-arc slices.
-        let mut next_cw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
-        let mut next_ccw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
-
-        // Per-node link queues exist only under a fault plan; a fresh
-        // faulty start allocates them here so the per-arc split below is
-        // uniform.
-        let plan_active = config.faults.is_some();
-        if plan_active && base_queue_cw.is_empty() {
-            base_queue_cw = (0..m).map(|_| VecDeque::new()).collect();
-            base_queue_ccw = (0..m).map(|_| VecDeque::new()).collect();
-        }
-
-        // Round-tagged halo mailboxes. `halo_cw[a]` carries the clockwise
-        // messages entering arc `a` (addressed to its first node); it is
-        // written round-by-round by arc `a - 1` and drained by arc `a` when
-        // its own clock reaches the matching round — the only inter-arc
-        // coupling inside a locality window.
-        let halo_cw: Vec<Halo<N::Msg>> = (0..shards).map(|_| Halo::new(t0)).collect();
-        let halo_ccw: Vec<Halo<N::Msg>> = (0..shards).map(|_| Halo::new(t0)).collect();
-
-        let barrier = Barrier::new(shards);
-        let processed = AtomicU64::new(base_metrics.total_processed());
-        let flagged: Mutex<Option<Flagged>> = Mutex::new(None);
-        let vote: Mutex<Vote> = Mutex::new(Vote {
-            tag: u64::MAX,
-            quiet: false,
-            min_span: u64::MAX,
-            max_backlog: 0,
-        });
-        let ledger: Mutex<Ledger> = Mutex::new(Ledger {
-            tag: u64::MAX,
-            cum_base: base_metrics.total_processed(),
-            rounds: Vec::new(),
-        });
-
-        // Balanced contiguous partition: the first `m % shards` arcs get one
-        // extra node.
-        let base = m / shards;
-        let extra = m % shards;
-        let bounds: Vec<(usize, usize)> = (0..shards)
-            .scan(0usize, |lo, a| {
-                let len = base + usize::from(a < extra);
-                let range = (*lo, *lo + len);
-                *lo += len;
-                Some(range)
-            })
-            .collect();
-        let min_arc = bounds.iter().map(|&(lo, hi)| hi - lo).min().unwrap_or(1);
-        let window = window_size(config, min_arc);
-
-        // Hand each arc its slice of every arena.
-        struct ArcBufs<'a, N: Node> {
-            lo: usize,
-            hi: usize,
-            nodes: &'a mut [N],
-            cur_cw: &'a mut [Vec<N::Msg>],
-            cur_ccw: &'a mut [Vec<N::Msg>],
-            next_cw: &'a mut [Vec<N::Msg>],
-            next_ccw: &'a mut [Vec<N::Msg>],
-        }
-        let mut arcs: Vec<ArcBufs<'_, N>> = Vec::with_capacity(shards);
-        {
-            let mut rest_nodes = &mut *nodes;
-            let mut rest_cur_cw = &mut cur_cw[..];
-            let mut rest_cur_ccw = &mut cur_ccw[..];
-            let mut rest_next_cw = &mut next_cw[..];
-            let mut rest_next_ccw = &mut next_ccw[..];
-            for &(lo, hi) in &bounds {
-                let len = hi - lo;
-                let (a, b) = rest_nodes.split_at_mut(len);
-                rest_nodes = b;
-                let (c, d) = rest_cur_cw.split_at_mut(len);
-                rest_cur_cw = d;
-                let (e, f) = rest_cur_ccw.split_at_mut(len);
-                rest_cur_ccw = f;
-                let (g, h) = rest_next_cw.split_at_mut(len);
-                rest_next_cw = h;
-                let (i, j) = rest_next_ccw.split_at_mut(len);
-                rest_next_ccw = j;
-                arcs.push(ArcBufs {
-                    lo,
-                    hi,
-                    nodes: a,
-                    cur_cw: c,
-                    cur_ccw: e,
-                    next_cw: g,
-                    next_ccw: i,
-                });
-            }
-        }
-
-        // Hand each arc its contiguous slice of the (possibly resumed) link
-        // queues. Queue state is per-node, so the split is independent of
-        // the shard count the saving run used.
-        type ArcQueues<M> = Vec<(Vec<LinkQueue<M>>, Vec<LinkQueue<M>>)>;
-        let arc_queues: ArcQueues<N::Msg> = if plan_active {
-            let mut qcw = base_queue_cw.into_iter();
-            let mut qccw = base_queue_ccw.into_iter();
-            bounds
-                .iter()
-                .map(|&(lo, hi)| {
-                    (
-                        qcw.by_ref().take(hi - lo).collect(),
-                        qccw.by_ref().take(hi - lo).collect(),
-                    )
-                })
-                .collect()
-        } else {
-            bounds.iter().map(|_| (Vec::new(), Vec::new())).collect()
-        };
-
-        // Checkpoint coordination, shared by all arcs (None when no cadence
-        // or no sink is installed).
-        let cp: Option<ParCheckpoint<'_, N::Msg>> = match (config.checkpoint_every, checkpoint) {
-            (Some(every), Some(hook)) => Some(ParCheckpoint {
-                every,
-                start_t: t0,
-                save_msg: hook.save_msg,
-                app_meta: config.checkpoint_meta.as_str(),
-                images: Mutex::new((0..shards).map(|_| None).collect()),
-                sink: Mutex::new(&mut *hook.sink),
-                base: BaseCtx {
-                    t0,
-                    metrics: &base_metrics,
-                    events: base_trace.events(),
-                    obs: base_obs.as_ref(),
-                },
-            }),
-            _ => None,
-        };
-        let cp = cp.as_ref();
-
-        let outcomes: Vec<ArcOutcome<N::Msg>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = arcs
-                .into_iter()
-                .zip(arc_queues)
-                .enumerate()
-                .map(|(a, (bufs, (arc_queue_cw, arc_queue_ccw)))| {
-                    let barrier = &barrier;
-                    let processed = &processed;
-                    let flagged = &flagged;
-                    let vote = &vote;
-                    let ledger = &ledger;
-                    let halo_cw = &halo_cw;
-                    let halo_ccw = &halo_ccw;
-                    scope.spawn(move || {
-                        run_arc(
-                            a,
-                            shards,
-                            bufs.lo,
-                            bufs.hi,
-                            bufs.nodes,
-                            bufs.cur_cw,
-                            bufs.cur_ccw,
-                            bufs.next_cw,
-                            bufs.next_ccw,
-                            topo,
-                            total_work,
-                            max_steps,
-                            config,
-                            barrier,
-                            processed,
-                            flagged,
-                            vote,
-                            ledger,
-                            halo_cw,
-                            halo_ccw,
-                            window,
-                            t0,
-                            base_prev_departed,
-                            arc_queue_cw,
-                            arc_queue_ccw,
-                            cp,
-                            pause_at,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("arc thread panicked"))
-                .collect()
-        });
-
-        // Resolve the outcome with the sequential engine's precedence:
-        // in-round violations first, then the round-end conservation check,
-        // then pause, then the budget. The pause predicate is a pure
-        // function of `t`, so every arc agrees on it; completion wins over
-        // pause because the stop check at barrier 2 of round t-1 precedes
-        // the pause check at round t.
-        if let Some((_, _, err)) = flagged.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(err);
-        }
-        let processed_total = processed.into_inner();
-        if processed_total > total_work {
-            return Err(SimError::WorkMiscount {
-                processed: processed_total,
-                total: total_work,
-            });
-        }
-        let paused = outcomes.iter().any(|o| o.paused);
-        if paused {
-            debug_assert!(outcomes.iter().all(|o| o.paused), "arcs disagree on pause");
-            // Reassemble the whole-ring mid-run image. Arena slices were
-            // swapped in place by the arcs, so `cur_cw`/`cur_ccw` already
-            // hold the step-`t` inbound state; queues and partials
-            // concatenate in arc order (fault-free runs carry no queues,
-            // matching the sequential engine's empty-queue convention).
-            // `prev_round_departed` sums per-arc counts — valid because the
-            // caller guarantees at least one round ran since resume
-            // whenever the resumed value was nonzero (`par_run_span` never
-            // re-enters at the boundary it paused on).
-            let t = pause_at.expect("arcs pause only at the requested boundary");
-            let mut queue_cw = Vec::new();
-            let mut queue_ccw = Vec::new();
-            let mut prev_round_departed: u64 = 0;
-            let mut partials = Vec::with_capacity(outcomes.len());
-            for o in outcomes {
-                queue_cw.extend(o.queue_cw);
-                queue_ccw.extend(o.queue_ccw);
-                prev_round_departed += o.prev_departed;
-                partials.push(o.partial);
-            }
-            let (metrics, events, obs) = merge_partials(
-                t0,
-                &base_metrics,
-                base_trace.events(),
-                base_obs.as_ref(),
-                config.trace,
-                partials,
-            );
-            return Ok(Sharded::Paused(ResumeState {
-                t0: t,
-                prev_round_departed,
-                cur_cw,
-                cur_ccw,
-                queue_cw,
-                queue_ccw,
-                metrics,
-                trace: Trace::from_events(config.trace, events),
-                obs,
-                scratch: None,
-            }));
-        }
-        if processed_total < total_work {
-            return Err(SimError::ExceededMaxSteps {
-                max_steps,
-                processed: processed_total,
-                total: total_work,
-            });
-        }
-
-        // Deterministic merge of the per-arc partials onto the run prefix —
-        // the same algebra the mid-run checkpoint stitch uses.
-        let (metrics, events, obs) = merge_partials(
-            t0,
-            &base_metrics,
-            base_trace.events(),
-            base_obs.as_ref(),
-            config.trace,
-            outcomes.into_iter().map(|o| o.partial).collect(),
-        );
-        let trace = Trace::from_events(config.trace, events);
-        let makespan = metrics.last_busy_step.expect("work was processed") + 1;
-        Ok(Sharded::Done(RunReport {
-            makespan,
-            metrics,
-            trace,
-            observability: obs,
-        }))
-    }
-
-    /// The per-arc worker loop. Arc `a` owns nodes `lo..hi`; all slice
-    /// arguments are indexed arc-locally (`i - lo`).
-    ///
-    /// The loop advances in *locality windows* of up to `window` rounds:
-    /// inside a window the only inter-arc coupling is the per-round halo
-    /// handshake with the two adjacent arcs (a message moves one hop per
-    /// round, so nothing an arc computes in a window can depend on a
-    /// non-adjacent arc's rounds). Completion, conservation violations and
-    /// in-round errors are resolved at window boundaries from the shared
-    /// round ledger, with the sequential engine's exact precedence; rounds
-    /// computed past a completion are rolled back frame by frame, which is
-    /// what keeps the merged report bit-identical to [`Engine::run`] for
-    /// every window size.
-    #[allow(clippy::too_many_arguments)]
-    fn run_arc<N>(
-        a: usize,
-        shards: usize,
-        lo: usize,
-        hi: usize,
-        nodes: &mut [N],
-        cur_cw: &mut [Vec<N::Msg>],
-        cur_ccw: &mut [Vec<N::Msg>],
-        next_cw: &mut [Vec<N::Msg>],
-        next_ccw: &mut [Vec<N::Msg>],
-        topo: RingTopology,
-        total_work: u64,
-        max_steps: u64,
-        config: &EngineConfig,
-        barrier: &Barrier,
-        processed: &AtomicU64,
-        flagged: &Mutex<Option<Flagged>>,
-        vote: &Mutex<Vote>,
-        ledger: &Mutex<Ledger>,
-        halo_cw: &[Halo<N::Msg>],
-        halo_ccw: &[Halo<N::Msg>],
-        window: u64,
-        t0: u64,
-        start_prev_departed: u64,
-        mut queue_cw: Vec<LinkQueue<N::Msg>>,
-        mut queue_ccw: Vec<LinkQueue<N::Msg>>,
-        cp: Option<&ParCheckpoint<'_, N::Msg>>,
-        pause_at: Option<u64>,
-    ) -> ArcOutcome<N::Msg>
-    where
-        N: Node,
-    {
-        let len = hi - lo;
-        let mut partial = ArcPartial {
-            lo,
-            processed_per_node: vec![0; len],
-            busy_steps_per_node: vec![0; len],
-            messages_sent: 0,
-            job_hops: 0,
-            messages_dropped: 0,
-            messages_delayed: 0,
-            messages_retried: 0,
-            last_busy: None,
-            sent_payload_per_round: Vec::new(),
-            events: Vec::new(),
-            obs: config.observe.then(|| Observability::new(len)),
-        };
-        let record = matches!(config.trace, TraceLevel::Full);
-        // Thread-local buffers for the two streams that leave this arc;
-        // published into the neighbor halos once per round.
-        let mut out_cw_boundary: Vec<N::Msg> = Vec::new();
-        let mut out_ccw_boundary: Vec<N::Msg> = Vec::new();
-
-        // Halo wiring: this arc consumes `halo_cw[a]` / `halo_ccw[a]` and
-        // produces into its clockwise / counterclockwise neighbor's inbox.
-        let in_cw = &halo_cw[a];
-        let in_ccw = &halo_ccw[a];
-        let out_cw = &halo_cw[(a + 1) % shards];
-        let out_ccw = &halo_ccw[(a + shards - 1) % shards];
-
-        // Window-scoped bookkeeping, reused across windows: this arc's
-        // per-round processed counts (committed to the shared ledger once
-        // per window) and the per-round rollback frames.
-        let mut round_processed: Vec<u64> = Vec::new();
-        let mut undo: Vec<RoundUndo> = Vec::new();
-
-        // Quiescent-node short-circuit: `quiet_until[j] > t` caches node
-        // `lo + j`'s own promise (`Node::quiescence` with `backlog == 0`)
-        // that, given empty inboxes, every round before `quiet_until[j]` is
-        // a total no-op — no sends, no processing, no audits, no state
-        // change. Such rounds skip `step_node_and_links` entirely — the
-        // per-node form, inside a scan of the arc, of the parking rule
-        // `Engine::run` drives its frontier with. The cache is
-        // invalidated whenever the node actually steps; a delivery makes
-        // the inbox non-empty, which disables the skip on its own.
-        //
-        // A skipped round is still a round to the node's *internal* drain
-        // state (`process_tick` advances the fractional shadow even at
-        // zero backlog, and variant-A reference levels read it), so every
-        // skip accrues one round of `quiet_debt` that is settled with
-        // `fast_forward` — defined as exactly that many empty-inbox steps
-        // — before the node next steps, and for all nodes before any
-        // window-boundary protocol (pause, checkpoint, compression) can
-        // read or serialize node state.
-        let mut quiet_until: Vec<u64> = vec![0; len];
-        let mut quiet_debt: Vec<u64> = vec![0; len];
-
-        // Fault state for this arc's nodes, mirroring the sequential engine
-        // (see `Engine::run`): link queues per node and direction (handed
-        // in by the caller, pre-loaded on resume), staging buffers, and the
-        // audit scratch.
-        let plan = config.faults.as_ref();
-        let mut stage_cw: Vec<N::Msg> = Vec::new();
-        let mut stage_ccw: Vec<N::Msg> = Vec::new();
-        let mut audit_buf: Vec<DropRecord> = Vec::new();
-
-        // Step-compression state, mirroring the sequential engine: logical
-        // messages this arc put in flight last round (sends + carryovers —
-        // boundary sends are counted by the sending arc, so the votes'
-        // conjunction covers every inbox), the fault-inertness step, and a
-        // backlog scratch buffer. On resume every arc seeds its counter
-        // with the snapshot's *global* value: the quiescence gate only
-        // tests it against zero, and global zero iff every arc-local count
-        // is zero, so the vote outcome is preserved.
-        let compress = config.compress;
-        let fault_horizon = config.faults.as_ref().map_or(0, |p| p.horizon());
-        let mut arc_prev_departed: u64 = start_prev_departed;
-        let mut quiet_backlogs: Vec<u64> = Vec::new();
-
-        let mut t: u64 = t0;
-        let mut paused = false;
-        loop {
-            // Settle the skipped-round drain debt before anything at this
-            // boundary (pause snapshot, checkpoint image, compression
-            // vote's `fast_forward`, or the final join) can observe node
-            // state mid-replay.
-            for (j, debt) in quiet_debt.iter_mut().enumerate() {
-                if *debt > 0 {
-                    nodes[j].fast_forward(*debt);
-                    *debt = 0;
-                }
-            }
-
-            // Same budget check as the sequential engine, evaluated
-            // identically by every arc — no communication needed.
-            if t >= max_steps {
-                break;
-            }
-
-            // Span boundary — also a pure function of `t`, so every arc
-            // breaks here together (before any of the round's barriers,
-            // keeping the counts uniform). Checked before the checkpoint
-            // block, like the sequential engine: pause wins at a shared
-            // boundary and no snapshot is emitted for it.
-            if pause_at == Some(t) {
-                paused = true;
-                break;
-            }
-
-            // Checkpoint boundary — a pure function of `t`, so every arc
-            // takes these barriers together. Each arc serializes its slice,
-            // then arc 0 stitches the canonical snapshot and feeds the
-            // sink; any failure is flagged with the sequential engine's
-            // `(step, node)` key and stops all arcs at the boundary.
-            if let Some(cp) = cp {
-                if t > cp.start_t && t % cp.every == 0 {
-                    match arc_image(
-                        cp,
-                        lo,
-                        nodes,
-                        cur_cw,
-                        cur_ccw,
-                        &queue_cw,
-                        &queue_ccw,
-                        arc_prev_departed,
-                        &partial,
-                    ) {
-                        Ok(img) => {
-                            let mut images = cp.images.lock().unwrap_or_else(|e| e.into_inner());
-                            images[a] = Some(img);
-                        }
-                        Err((node, error)) => {
-                            merge_flag(flagged, (t, node, SimError::Checkpoint { step: t, error }));
-                        }
-                    }
-                    // Image barrier: every arc stored its slice (or flagged
-                    // an error) before arc 0 reads them.
-                    barrier.wait();
-                    if a == 0 {
-                        let clean = flagged.lock().unwrap_or_else(|e| e.into_inner()).is_none();
-                        if clean {
-                            let images: Vec<ArcImage> = {
-                                let mut slot = cp.images.lock().unwrap_or_else(|e| e.into_inner());
-                                slot.iter_mut()
-                                    .map(|s| s.take().expect("every arc stored an image"))
-                                    .collect()
-                            };
-                            let snap =
-                                stitch_snapshot(cp, t, topo.len(), total_work, config, images);
-                            let mut sink = cp.sink.lock().unwrap_or_else(|e| e.into_inner());
-                            if let Err(error) = (**sink)(&snap) {
-                                merge_flag(
-                                    flagged,
-                                    (t, 0, SimError::Checkpoint { step: t, error }),
-                                );
-                            }
-                        }
-                    }
-                    // Outcome barrier: the snapshot reached the sink (or a
-                    // flag) before any arc enters round `t`.
-                    barrier.wait();
-                    if flagged.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
-                        break;
-                    }
-                }
-            }
-
-            // Quiescent-span step compression (see `Engine::run` and
-            // DESIGN.md §10). Candidacy is arc-local; the merged ballot
-            // decides globally, and the span `k` is a pure function of the
-            // merged state, so every arc agrees on it — keeping the
-            // per-round barrier count uniform (three with compression on).
-            if compress {
-                let local = if arc_prev_departed == 0
-                    && t >= fault_horizon
-                    && queue_cw.iter().all(VecDeque::is_empty)
-                    && queue_ccw.iter().all(VecDeque::is_empty)
-                {
-                    arc_quiescence(nodes, t, &mut quiet_backlogs)
-                } else {
-                    None
-                };
-                {
-                    let mut v = vote.lock().unwrap_or_else(|e| e.into_inner());
-                    if v.tag != t {
-                        v.tag = t;
-                        v.quiet = true;
-                        v.min_span = u64::MAX;
-                        v.max_backlog = 0;
-                    }
-                    match local {
-                        Some((span, max_b)) => {
-                            v.min_span = v.min_span.min(span);
-                            v.max_backlog = v.max_backlog.max(max_b);
-                        }
-                        None => v.quiet = false,
-                    }
-                }
-                // Vote barrier: every arc contributed before anyone reads
-                // the merge.
-                barrier.wait();
-                let k = {
-                    let v = vote.lock().unwrap_or_else(|e| e.into_inner());
-                    if v.quiet {
-                        // Same checkpoint-boundary cap as the sequential
-                        // engine; pure in `t`, so every arc computes the
-                        // same `k`.
-                        let mut budget = max_steps - t;
-                        if let Some(cp) = cp {
-                            budget = budget.min(cp.every - t % cp.every);
-                        }
-                        if let Some(p) = pause_at {
-                            // Land exactly on the span boundary (p > t:
-                            // the pause check above did not fire).
-                            budget = budget.min(p - t);
-                        }
-                        compression_k(v.min_span, v.max_backlog, budget)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(k) = k {
-                    let local_max_b = quiet_backlogs.iter().copied().max().unwrap_or(0);
-                    if record {
-                        synthesize_quiet_trace(t, k, lo, &quiet_backlogs, |e| {
-                            partial.events.push(e)
-                        });
-                    }
-                    if let Some(o) = partial.obs.as_mut() {
-                        let p0: Vec<u64> = nodes.iter().map(|n| n.pending_work()).collect();
-                        synthesize_quiet_samples(t, k, &p0, &quiet_backlogs, &mut o.samples);
-                    }
-                    let mut local_processed: u64 = 0;
-                    for (j, &b) in quiet_backlogs.iter().enumerate() {
-                        let d = b.min(k);
-                        if d > 0 {
-                            partial.processed_per_node[j] += d;
-                            partial.busy_steps_per_node[j] += d;
-                            local_processed += d;
-                        }
-                    }
-                    if local_max_b > 0 {
-                        // The arc holding the global max backlog reaches
-                        // t + k − 1 (k ≤ global max), so the merged maximum
-                        // matches the sequential engine.
-                        partial.last_busy = Some(t + local_max_b.min(k) - 1);
-                    }
-                    for node in nodes.iter_mut() {
-                        node.fast_forward(k);
-                    }
-                    partial
-                        .sent_payload_per_round
-                        .extend(std::iter::repeat(0).take(k as usize));
-                    // Commit the span as a single-entry ledger window and
-                    // resolve it like one: the same conservation and
-                    // completion checks the sequential engine runs at the
-                    // end of a compressed span. No rollback can be needed —
-                    // `k` never overshoots the largest backlog, so
-                    // completion lands exactly on the span end.
-                    {
-                        let mut l = ledger.lock().unwrap_or_else(|e| e.into_inner());
-                        l.commit(t, &[local_processed]);
-                    }
-                    // Commit barrier: every arc's contribution is in the
-                    // ledger before anyone reads the total.
-                    barrier.wait();
-                    let cum = {
-                        let l = ledger.lock().unwrap_or_else(|e| e.into_inner());
-                        l.cum_base + l.rounds.iter().sum::<u64>()
-                    };
-                    if a == 0 {
-                        processed.store(cum, Ordering::SeqCst);
-                        if cum > total_work {
-                            merge_flag(
-                                flagged,
-                                (
-                                    t,
-                                    0,
-                                    SimError::WorkMiscount {
-                                        processed: cum,
-                                        total: total_work,
-                                    },
-                                ),
-                            );
-                        }
-                    }
-                    // Read barrier: the outcome is materialized before the
-                    // next boundary touches the ballot or ledger again.
-                    barrier.wait();
-                    if cum >= total_work {
-                        break;
-                    }
-                    t += k;
-                    continue;
-                }
-            }
-
-            // Open a locality window. Its length is a pure function of `t`
-            // and the run configuration, so every arc computes the same
-            // boundary — the next global synchronization point. Checkpoint
-            // cadence, span pauses and the step budget all cap it, which is
-            // what makes those barrier-aligned protocols land exactly on
-            // window boundaries.
-            let mut w = window.min(max_steps - t);
-            if let Some(cp) = cp {
-                w = w.min(cp.every - t % cp.every);
-            }
-            if let Some(p) = pause_at {
-                w = w.min(p - t);
-            }
-            let w = w.max(1);
-            let win_start = t;
-            round_processed.clear();
-            if undo.len() < w as usize {
-                undo.resize_with(w as usize, RoundUndo::default);
-            }
-
-            for r in 0..w {
-                // Rollback frame: scalar state before this round; the
-                // sparse delta logs fill in as the round records.
-                let frame = &mut undo[r as usize];
-                frame.events_len = partial.events.len();
-                frame.samples_len = partial.obs.as_ref().map_or(0, |o| o.samples.len());
-                frame.rounds_len = partial.sent_payload_per_round.len();
-                frame.messages_sent = partial.messages_sent;
-                frame.job_hops = partial.job_hops;
-                frame.messages_dropped = partial.messages_dropped;
-                frame.messages_delayed = partial.messages_delayed;
-                frame.messages_retried = partial.messages_retried;
-                frame.last_busy = partial.last_busy;
-                frame.work.clear();
-                frame.sends.clear();
-
-                let mut round_departed: u64 = 0;
-
-                // Stall carryover first, exactly like the sequential
-                // engine: undelivered messages of non-running nodes move to
-                // the front of their next-round inboxes before any node
-                // writes new sends (boundary mail is appended at the round
-                // handshake, i.e. after — the same relative order the
-                // sequential loop produces).
-                if let Some(plan) = plan {
-                    for j in 0..len {
-                        if !plan.node_runs(lo + j, t) {
-                            round_departed += (cur_cw[j].len() + cur_ccw[j].len()) as u64;
-                            next_cw[j].append(&mut cur_cw[j]);
-                            next_ccw[j].append(&mut cur_ccw[j]);
-                        }
-                    }
-                }
-
-                // Step the arc's nodes in ring order.
-                let mut round_sent_payload: u64 = 0;
-                let mut round_work: u64 = 0;
-                let mut sample = StepSample {
-                    t,
-                    ..StepSample::default()
-                };
-                let mut local_error = false;
-                for i in lo..hi {
-                    let j = i - lo;
-                    // Skip provably-inert nodes (fault plans route sends
-                    // through per-node link queues that must drain even on
-                    // idle rounds, so the skip is gated on having no plan).
-                    if plan.is_none() && cur_cw[j].is_empty() && cur_ccw[j].is_empty() {
-                        let quiet = t < quiet_until[j] || {
-                            match nodes[j].quiescence(t) {
-                                Some(q) if q.backlog == 0 && q.span >= 1 => {
-                                    quiet_until[j] = t.saturating_add(q.span);
-                                    true
-                                }
-                                _ => false,
-                            }
-                        };
-                        if quiet {
-                            quiet_debt[j] += 1;
-                            // The contract still owes the backlog series its
-                            // (unchanged) pending figure.
-                            if partial.obs.is_some() {
-                                let pending = nodes[j].pending_work();
-                                sample.max_pending = sample.max_pending.max(pending);
-                                sample.total_pending += pending;
-                            }
-                            continue;
-                        }
-                    }
-                    quiet_until[j] = 0;
-                    if quiet_debt[j] > 0 {
-                        nodes[j].fast_forward(std::mem::take(&mut quiet_debt[j]));
-                    }
-                    let ctx = NodeCtx { id: i, t, topo };
-                    let delivered = if partial.obs.is_some() {
-                        payload_of(&cur_cw[j]) + payload_of(&cur_ccw[j])
-                    } else {
-                        0
-                    };
-                    // Clockwise sends land at i + 1: arc-internal unless
-                    // this is the last node; counterclockwise at i - 1:
-                    // internal unless this is the first.
-                    let (cur_a, cur_b) = split_two(cur_cw, cur_ccw, j);
-                    let to_cw: &mut Vec<N::Msg> = if i + 1 < hi {
-                        &mut next_cw[j + 1]
-                    } else {
-                        &mut out_cw_boundary
-                    };
-                    let to_ccw: &mut Vec<N::Msg> = if i > lo {
-                        &mut next_ccw[j - 1]
-                    } else {
-                        &mut out_ccw_boundary
-                    };
-                    let faults = plan.map(|plan| FaultLinks {
-                        plan,
-                        queue_cw: &mut queue_cw[j],
-                        queue_ccw: &mut queue_ccw[j],
-                        stage_cw: &mut stage_cw,
-                        stage_ccw: &mut stage_ccw,
-                    });
-                    let (step, dep_cw, dep_ccw) = match step_node_and_links(
-                        &mut nodes[j],
-                        &ctx,
-                        cur_a,
-                        cur_b,
-                        to_cw,
-                        to_ccw,
-                        config.link_capacity,
-                        record.then_some(&mut audit_buf),
-                        faults,
-                    ) {
-                        Ok(out) => out,
-                        Err(err) => {
-                            merge_flag(flagged, (t, i, err));
-                            local_error = true;
-                            break;
-                        }
-                    };
-                    round_departed += dep_cw.messages + dep_ccw.messages;
-                    if record {
-                        for rec in audit_buf.drain(..) {
-                            partial.events.push(Event::DroppedOff {
-                                t,
-                                node: i,
-                                bucket: rec.bucket,
-                                units: rec.int,
-                                frac_bits: rec.frac.to_bits(),
-                                cum_drop_frac_bits: rec.cum_drop_frac.to_bits(),
-                                cum_accept_frac_bits: rec.cum_accept_frac.to_bits(),
-                                p_max_bucket: rec.p_max_bucket,
-                                p_max_node: rec.p_max_node,
-                                kind: rec.kind,
-                            });
-                        }
-                    }
-                    if step.work_done > 0 {
-                        partial.processed_per_node[j] += step.work_done;
-                        partial.busy_steps_per_node[j] += 1;
-                        partial.last_busy = Some(t);
-                        round_work += step.work_done;
-                        frame.work.push((j as u32, step.work_done));
-                        if record {
-                            partial.events.push(Event::Processed {
-                                t,
-                                node: i,
-                                units: step.work_done,
-                            });
-                        }
-                    }
-                    for (dir, dep) in [(Direction::Cw, dep_cw), (Direction::Ccw, dep_ccw)] {
-                        partial.messages_dropped += dep.dropped;
-                        partial.messages_delayed += dep.delayed;
-                        partial.messages_retried += dep.retried;
-                        sample.link_dropped += dep.dropped;
-                        sample.link_delayed += dep.delayed;
-                        sample.link_retried += dep.retried;
-                        if dep.messages == 0 {
-                            continue;
-                        }
-                        partial.messages_sent += dep.messages;
-                        partial.job_hops += dep.payload;
-                        round_sent_payload += dep.payload;
-                        if record {
-                            partial.events.push(Event::Sent {
-                                t,
-                                node: i,
-                                dir,
-                                job_units: dep.payload,
-                            });
-                        }
-                    }
-                    if let Some(o) = partial.obs.as_mut() {
-                        o.record_sends(
-                            j,
-                            dep_cw.messages,
-                            dep_cw.payload,
-                            dep_ccw.messages,
-                            dep_ccw.payload,
-                        );
-                        let dropped = delivered.saturating_sub(step.sent_payload());
-                        o.dropoffs_per_node[j] += dropped;
-                        if dep_cw.messages > 0 || dep_ccw.messages > 0 || dropped > 0 {
-                            frame.sends.push((
-                                j as u32,
-                                dep_cw.messages,
-                                dep_cw.payload,
-                                dep_ccw.messages,
-                                dep_ccw.payload,
-                                dropped,
-                            ));
-                        }
-                        let pending = nodes[j].pending_work();
-                        sample.delivered_payload += delivered;
-                        sample.sent_payload += dep_cw.payload + dep_ccw.payload;
-                        sample.messages += dep_cw.messages + dep_ccw.messages;
-                        sample.processed += step.work_done;
-                        sample.dropped_off += dropped;
-                        sample.max_pending = sample.max_pending.max(pending);
-                        sample.total_pending += pending;
-                    }
-                }
-                partial.sent_payload_per_round.push(round_sent_payload);
-                arc_prev_departed = round_departed;
-                if let Some(o) = partial.obs.as_mut() {
-                    o.samples.push(sample);
-                }
-                round_processed.push(round_work);
-
-                if local_error {
-                    // Keep the neighbors running — they too must reach the
-                    // window boundary. Whatever they compute past this
-                    // round is discarded with the rest of the run when the
-                    // boundary scan lands on the flag.
-                    out_cw.abandon();
-                    out_ccw.abandon();
-                    break;
-                }
-
-                // The round handshake: hand this round's boundary streams
-                // to the neighbors and take delivery of theirs. This
-                // pairwise exchange replaces the old pair of global
-                // barriers; non-adjacent arcs never synchronize inside a
-                // window.
-                out_cw.publish(t, &mut out_cw_boundary);
-                out_ccw.publish(t, &mut out_ccw_boundary);
-                in_cw.await_round(t);
-                in_ccw.await_round(t);
-                in_cw.drain_into(t, &mut next_cw[0]);
-                in_ccw.drain_into(t, &mut next_ccw[len - 1]);
-                for j in 0..len {
-                    std::mem::swap(&mut cur_cw[j], &mut next_cw[j]);
-                    std::mem::swap(&mut cur_ccw[j], &mut next_ccw[j]);
-                }
-                t += 1;
-            }
-
-            // ---- Window boundary: the only global synchronization. ----
-            {
-                let mut l = ledger.lock().unwrap_or_else(|e| e.into_inner());
-                l.commit(win_start, &round_processed);
-            }
-            // Commit barrier: every arc's per-round counts (and any error
-            // flags) are in before anyone resolves the window.
-            barrier.wait();
-            let (resolution, cum) = {
-                let flag = flagged
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                    .map(|&(ft, fnode, _)| (ft, fnode));
-                let l = ledger.lock().unwrap_or_else(|e| e.into_inner());
-                resolve_window(win_start, l.cum_base, &l.rounds, flag, total_work)
-            };
-            if a == 0 {
-                // One arc materializes the agreed outcome into the shared
-                // slots `run_sharded` reads after the join: the committed
-                // processed total, plus the flag fixups the resolution
-                // implies — a conservation miscount outranks a flag at a
-                // later round, and completion before the flagged round
-                // voids the flag entirely (the sequential engine would
-                // have stopped before reaching it).
-                processed.store(cum, Ordering::SeqCst);
-                match resolution {
-                    Boundary::Miscount { processed: p } => {
-                        let mut slot = flagged.lock().unwrap_or_else(|e| e.into_inner());
-                        *slot = Some((
-                            win_start,
-                            0,
-                            SimError::WorkMiscount {
-                                processed: p,
-                                total: total_work,
-                            },
-                        ));
-                    }
-                    Boundary::Done { .. } => {
-                        let mut slot = flagged.lock().unwrap_or_else(|e| e.into_inner());
-                        *slot = None;
-                    }
-                    Boundary::Advance | Boundary::Fail => {}
-                }
-            }
-            // Resolution barrier: the fixups are visible (and the ledger
-            // settled) before any arc opens the next window — or returns.
-            barrier.wait();
-            match resolution {
-                Boundary::Advance => {
-                    t = win_start + w;
-                }
-                Boundary::Done { last_round } => {
-                    // Roll this arc back to the completing round; overrun
-                    // rounds (up to a window's worth) vanish from the
-                    // partial as if never stepped. Only the frames this
-                    // window actually recorded participate — the buffer is
-                    // reused across windows and its tail can be stale.
-                    let keep = (last_round + 1 - win_start) as usize;
-                    roll_back(&mut partial, &undo[..round_processed.len()], keep);
-                    break;
-                }
-                Boundary::Fail | Boundary::Miscount { .. } => break,
-            }
-        }
-        ArcOutcome {
-            partial,
-            queue_cw,
-            queue_ccw,
-            prev_departed: arc_prev_departed,
-            paused,
-        }
-    }
-
     // ------------------------------------------------------------------
-    // The work-stealing executor (`ParStrategy::Steal`; see DESIGN.md §14).
+    // The task-pool executor (see DESIGN.md §6 and §14).
     //
     // Leader-orchestrated: the main thread owns the whole ring state
     // between windows and runs the entire boundary protocol (budget,
-    // pause, checkpoint, ledger resolution, rollback, rebalancing)
-    // single-threaded, mirroring the sequential engine's exact ordering.
-    // Only the window interior is parallel: the ring is cut into more
-    // node-range tasks than worker threads, and workers cooperatively
-    // advance whichever task is runnable — a task blocked on a neighbor's
-    // halo is requeued, not waited on, so an imbalanced ring keeps every
-    // core busy. Stealing changes *who* computes a range, never what is
-    // computed, and the merge algebra is shared with the static executor,
-    // so the report stays bit-identical for every schedule.
+    // pause, checkpoint, window resolution, rollback) single-threaded,
+    // mirroring the sequential engine's exact ordering. Only the window
+    // interior is parallel: the ring is cut into more node-range tasks
+    // than worker threads, and workers cooperatively advance whichever
+    // task is runnable — a task blocked on a neighbor's halo is requeued,
+    // not waited on, so an imbalanced ring keeps every core busy. Stealing
+    // changes *who* computes a range, never what is computed, so the
+    // report stays bit-identical for every schedule.
     // ------------------------------------------------------------------
 
-    /// Per-task state that persists across windows within one cut epoch.
-    /// A recut (rebalance, which is semantically a resume: fold the
-    /// partials into the base, restart the deltas) replaces it wholesale.
+    /// Per-task state that persists across the windows of one span.
     struct TaskState<M> {
         partial: ArcPartial,
         round_processed: Vec<u64>,
@@ -3896,36 +2621,6 @@ mod par {
             asleep_debt: 0,
             asleep_pending: (0, 0),
         }
-    }
-
-    /// Cuts `0..weights.len()` into `r` contiguous non-empty ranges with
-    /// near-equal weight prefixes: range `k` ends at the smallest prefix
-    /// whose cumulative weight reaches `(k+1)/r` of the total, held back
-    /// just enough that every later range still gets at least one node.
-    /// Deterministic, so rebalancing is a pure function of the ledger.
-    fn cut_by_weight(weights: &[u64], r: usize) -> Vec<(usize, usize)> {
-        let m = weights.len();
-        let r = r.clamp(1, m.max(1));
-        let total: u64 = weights.iter().sum();
-        let mut bounds = Vec::with_capacity(r);
-        let mut lo = 0usize;
-        let mut acc: u64 = 0;
-        for k in 0..r {
-            let left = r - k - 1;
-            let target = total * (k as u64 + 1) / r as u64;
-            let mut hi = lo + 1;
-            acc += weights[lo];
-            while hi < m - left && acc < target {
-                acc += weights[hi];
-                hi += 1;
-            }
-            if left == 0 {
-                hi = m;
-            }
-            bounds.push((lo, hi));
-            lo = hi;
-        }
-        bounds
     }
 
     /// Splits `rest` into consecutive mutable slices matching `bounds`
@@ -3993,13 +2688,12 @@ mod par {
         N::Msg: Send,
     {
         let m = topo.len();
-        let rebalance = config.par.resolved_rebalance();
         let r_tasks = (shards * config.par.resolved_tasks_per_shard())
             .min(m)
             .max(1);
 
-        // The run prefix, exactly as in `run_sharded`; folds (recuts,
-        // which restart the per-task deltas) advance it mid-run.
+        // The run prefix: zero for a fresh start, the paused or restored
+        // mid-run image otherwise. Tasks carry only deltas relative to it.
         let base = resume.unwrap_or_else(|| ResumeState {
             t0: 0,
             prev_round_departed: 0,
@@ -4019,14 +2713,11 @@ mod par {
             mut cur_ccw,
             mut queue_cw,
             mut queue_ccw,
-            metrics: mut base_metrics,
+            metrics: base_metrics,
             trace: base_trace,
-            obs: mut base_obs,
+            obs: base_obs,
             scratch: _,
         } = base;
-        let run_start_t = t0;
-        let mut base_t0 = t0;
-        let mut base_events: Vec<Event> = base_trace.into_events();
 
         let mut next_cw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
         let mut next_ccw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
@@ -4037,9 +2728,8 @@ mod par {
             queue_ccw = (0..m).map(|_| VecDeque::new()).collect();
         }
 
-        // Quiescent-node caches are per *node*, so they survive recuts
-        // untouched; debts are settled at every boundary before any
-        // protocol can observe node state.
+        // Quiescent-node caches; debts are settled at every boundary
+        // before any protocol can observe node state.
         let mut quiet_until: Vec<u64> = vec![0; m];
         let mut quiet_debt: Vec<u64> = vec![0; m];
 
@@ -4061,9 +2751,12 @@ mod par {
             }
         }
 
-        // Initial cut: balanced by node count (no load signal yet).
-        let ones = vec![1u64; m];
-        let mut bounds = cut_by_weight(&ones, r_tasks);
+        // `r_tasks <= m`, so the even cut yields exactly `r_tasks` ranges.
+        let bounds: Vec<(usize, usize)> = ring_topology::even_cuts(m, r_tasks)
+            .into_iter()
+            .map(|r| (r.start, r.end))
+            .collect();
+        let min_len = m / r_tasks;
         let mut states: Vec<TaskState<N::Msg>> = bounds
             .iter()
             .map(|&(lo, hi)| new_task_state(lo, hi - lo, config))
@@ -4075,13 +2768,23 @@ mod par {
             _ => None,
         };
 
+        // Merges the task partials onto the run prefix.
+        let merge = |partials: Vec<ArcPartial>| {
+            merge_partials(
+                t0,
+                &base_metrics,
+                base_trace.events(),
+                base_obs.as_ref(),
+                config.trace,
+                partials,
+            )
+        };
+
         let mut cum_base: u64 = base_metrics.total_processed();
-        let mut want_recut = false;
         let mut t: u64 = t0;
         loop {
             // Settle skipped-round drain debt before any boundary protocol
-            // (pause, checkpoint image, fold) can observe node state
-            // mid-replay — the same contract as the static executor.
+            // (pause, checkpoint) can observe node state mid-replay.
             for (i, debt) in quiet_debt.iter_mut().enumerate() {
                 if *debt > 0 {
                     nodes[i].fast_forward(std::mem::take(debt));
@@ -4098,14 +2801,7 @@ mod par {
 
             if pause_at == Some(t) {
                 let prev: u64 = states.iter().map(|s| s.arc_prev_departed).sum();
-                let (metrics, events, obs) = merge_partials(
-                    base_t0,
-                    &base_metrics,
-                    &base_events,
-                    base_obs.as_ref(),
-                    config.trace,
-                    states.into_iter().map(|s| s.partial).collect(),
-                );
+                let (metrics, events, obs) = merge(states.into_iter().map(|s| s.partial).collect());
                 return Ok(Sharded::Paused(ResumeState {
                     t0: t,
                     prev_round_departed: prev,
@@ -4120,122 +2816,46 @@ mod par {
                 }));
             }
 
-            // Checkpoint boundary: serialize each task's slice in ring
-            // order and stitch — the same `arc_image` + `stitch_snapshot`
-            // path the static executor takes, minus the barriers (the
-            // leader is single-threaded here), so the snapshot bytes are
-            // independent of shard count, task cuts and steal history.
+            // Checkpoint boundary: the leader holds the whole-ring step-`t`
+            // image, so it merges a copy of the task partials and calls the
+            // sequential writer — the bytes cannot depend on shard count,
+            // task cut or steal history.
             if let Some(every) = cp_every {
-                if t > run_start_t && t % every == 0 {
+                if t > t0 && t % every == 0 {
                     let hook = checkpoint.as_deref_mut().expect("gated on hook presence");
-                    let cp = ParCheckpoint {
-                        every,
-                        start_t: run_start_t,
-                        save_msg: hook.save_msg,
-                        app_meta: config.checkpoint_meta.as_str(),
-                        images: Mutex::new(Vec::new()),
-                        sink: Mutex::new(&mut *hook.sink),
-                        base: BaseCtx {
-                            t0: base_t0,
-                            metrics: &base_metrics,
-                            events: &base_events,
-                            obs: base_obs.as_ref(),
-                        },
-                    };
-                    let mut images = Vec::with_capacity(states.len());
-                    let mut failed: Option<(usize, CheckpointError)> = None;
-                    for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                        let empty: &[LinkQueue<N::Msg>] = &[];
-                        let (qcw, qccw) = if plan_active {
-                            (&queue_cw[lo..hi], &queue_ccw[lo..hi])
-                        } else {
-                            (empty, empty)
-                        };
-                        match arc_image(
-                            &cp,
-                            lo,
-                            &nodes[lo..hi],
-                            &cur_cw[lo..hi],
-                            &cur_ccw[lo..hi],
-                            qcw,
-                            qccw,
-                            states[k].arc_prev_departed,
-                            &states[k].partial,
-                        ) {
-                            Ok(img) => images.push(img),
-                            Err(e) => {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some((_, error)) = failed {
-                        return Err(SimError::Checkpoint { step: t, error });
-                    }
-                    let snap = stitch_snapshot(&cp, t, m, total_work, config, images);
-                    let mut sink = cp.sink.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Err(error) = (**sink)(&snap) {
-                        return Err(SimError::Checkpoint { step: t, error });
-                    }
-                }
-            }
-
-            // Quiescent-span compression is deliberately omitted here: it
-            // is unobservable in the report (DESIGN.md §10), so skipping
-            // it cannot change a byte; the steal executor targets busy
-            // imbalanced rings where spans never go globally quiet.
-
-            // Ledger-driven rebalance: the previous window exposed
-            // imbalance, so fold the per-task deltas into the base (a
-            // recut is semantically a resume — the same merge the
-            // checkpoint stitch trusts) and recut the ring by cumulative
-            // per-node processed counts.
-            if want_recut {
-                want_recut = false;
-                // Cumulative per-node processed counts are the base plus
-                // the per-task deltas, so the new cut is computable without
-                // merging; when a persistent imbalance keeps proposing the
-                // cut the ring already has, skip the merge-and-rebuild
-                // entirely (deferring the merge is unobservable — the final
-                // report merges whatever partials remain anyway).
-                let mut weights: Vec<u64> = base_metrics
-                    .processed_per_node
-                    .iter()
-                    .map(|&p| p + 1)
-                    .collect();
-                for (s, &(lo, _)) in states.iter().zip(&bounds) {
-                    for (j, &p) in s.partial.processed_per_node.iter().enumerate() {
-                        weights[lo + j] += p;
-                    }
-                }
-                let new_bounds = cut_by_weight(&weights, r_tasks);
-                if new_bounds != bounds {
                     let prev: u64 = states.iter().map(|s| s.arc_prev_departed).sum();
-                    let (metrics, events, obs) = merge_partials(
-                        base_t0,
-                        &base_metrics,
-                        &base_events,
-                        base_obs.as_ref(),
+                    let (metrics, events, obs) =
+                        merge(states.iter().map(|s| s.partial.clone()).collect());
+                    let snap = build_snapshot(
+                        hook.save_msg,
+                        nodes,
+                        total_work,
+                        t,
+                        prev,
                         config.trace,
-                        states.drain(..).map(|s| s.partial).collect(),
+                        config.faults.as_ref(),
+                        &metrics,
+                        &events,
+                        obs.as_ref(),
+                        &cur_cw,
+                        &cur_ccw,
+                        &queue_cw,
+                        &queue_ccw,
+                        &config.checkpoint_meta,
                     );
-                    base_metrics = metrics;
-                    base_events = events;
-                    base_obs = obs;
-                    base_t0 = t;
-                    bounds = new_bounds;
-                    states = bounds
-                        .iter()
-                        .map(|&(lo, hi)| new_task_state(lo, hi - lo, config))
-                        .collect();
-                    states[0].arc_prev_departed = prev;
+                    let result = snap.and_then(|snap| (hook.sink)(&snap));
+                    if let Err(error) = result {
+                        return Err(SimError::Checkpoint { step: t, error });
+                    }
                 }
             }
 
-            // Open a window, capped exactly like the other executors so
-            // checkpoint cadence, pauses and the budget land on window
-            // boundaries.
-            let min_len = bounds.iter().map(|&(lo, hi)| hi - lo).min().unwrap_or(1);
+            // Quiescent-span compression is deliberately not implemented
+            // here: it is unobservable in the report (DESIGN.md §10), and
+            // an all-asleep ring already advances in O(tasks) per round.
+
+            // Open a window, capped so checkpoint cadence, pauses and the
+            // budget land on window boundaries.
             let mut w = window_size(config, min_len).min(max_steps - t);
             if let Some(every) = cp_every {
                 w = w.min(every - t % every);
@@ -4390,17 +3010,6 @@ mod par {
                 Boundary::Advance => {
                     t = win_start + w;
                     cum_base = cum;
-                    if rebalance && r_tasks > 1 {
-                        let win_work: Vec<u64> = states
-                            .iter()
-                            .map(|s| s.round_processed.iter().sum())
-                            .collect();
-                        let total: u64 = win_work.iter().sum();
-                        let max = win_work.iter().copied().max().unwrap_or(0);
-                        // Recut when the hottest task did > 1.5x its fair
-                        // share of the window's work.
-                        want_recut = total > 0 && max * 2 * (r_tasks as u64) > 3 * total;
-                    }
                 }
                 Boundary::Done { last_round } => {
                     let keep = (last_round + 1 - win_start) as usize;
@@ -4408,14 +3017,8 @@ mod par {
                         let n = s.round_processed.len();
                         roll_back(&mut s.partial, &s.undo[..n], keep);
                     }
-                    let (metrics, events, obs) = merge_partials(
-                        base_t0,
-                        &base_metrics,
-                        &base_events,
-                        base_obs.as_ref(),
-                        config.trace,
-                        states.into_iter().map(|s| s.partial).collect(),
-                    );
+                    let (metrics, events, obs) =
+                        merge(states.into_iter().map(|s| s.partial).collect());
                     let trace = Trace::from_events(config.trace, events);
                     let makespan = metrics.last_busy_step.expect("work was processed") + 1;
                     return Ok(Sharded::Done(RunReport {
@@ -4745,10 +3348,10 @@ mod par {
         SleepOutcome::Blocked(advanced)
     }
 
-    /// Phase A of one task round: the same per-round body as the static
-    /// executor's `run_arc` — rollback frame, stall carryover, the ordered
-    /// per-node sweep with the quiescent-node short-circuit — plus the
-    /// dense fused variant that drops the skip bookkeeping when the
+    /// Phase A of one task round: rollback frame, stall carryover, the
+    /// ordered per-node sweep with the quiescent-node short-circuit (the
+    /// parallel copy of `run_bounded`'s per-node accounting block) — plus
+    /// the dense fused variant that drops the skip bookkeeping when the
     /// previous round saw every node in the range busy, and the SoA unit
     /// columns replacing the `delivered` payload scans. Publishes the
     /// boundary streams (never blocks) before returning. Returns `true` on
@@ -5794,7 +4397,7 @@ mod par_tests {
 
 #[cfg(test)]
 mod checkpoint_tests {
-    use super::delivery_tests::{relay_ring, Relay};
+    use super::delivery_tests::{relay_ring, Relay, Token};
     use super::*;
     use crate::fault::{LinkFault, LinkFaultKind, ProcFault, ProcFaultKind};
     use std::sync::{Arc, Mutex};
@@ -6008,5 +4611,56 @@ mod checkpoint_tests {
         par.on_checkpoint(|_| Err(CheckpointError::Io("disk full".into())));
         let par_err = par.par_run(3).unwrap_err();
         assert_eq!(format!("{err:?}"), format!("{par_err:?}"));
+    }
+
+    /// A relay whose `save_state` fails when it carries a label.
+    struct Unsavable(Relay, Option<&'static str>);
+
+    impl Node for Unsavable {
+        type Msg = Token;
+
+        fn on_step(&mut self, ctx: &NodeCtx, io: &mut StepIo<'_, Token>) -> u64 {
+            self.0.on_step(ctx, io)
+        }
+
+        fn pending_work(&self) -> u64 {
+            self.0.pending_work()
+        }
+
+        fn save_state(&self, enc: &mut Encoder) -> Result<(), CheckpointError> {
+            match self.1 {
+                Some(label) => Err(CheckpointError::Io(label.into())),
+                None => self.0.save_state(enc),
+            }
+        }
+    }
+
+    #[test]
+    fn save_state_errors_are_the_same_under_run_and_par_run() {
+        // Two failing nodes in different tasks: both executors must report
+        // the first boundary and the lower-indexed node's error.
+        let mk = || {
+            let nodes = relay_ring(8, 5, Direction::Cw)
+                .into_iter()
+                .enumerate()
+                .map(|(i, relay)| {
+                    let label = match i {
+                        2 => Some("node 2"),
+                        6 => Some("node 6"),
+                        _ => None,
+                    };
+                    Unsavable(relay, label)
+                })
+                .collect();
+            let mut engine = Engine::new(nodes, 1, full_config().checkpoint_every(2));
+            engine.on_checkpoint(|_| Ok(()));
+            engine
+        };
+        let expected = SimError::Checkpoint {
+            step: 2,
+            error: CheckpointError::Io("node 2".into()),
+        };
+        assert_eq!(mk().run().unwrap_err(), expected);
+        assert_eq!(mk().par_run(3).unwrap_err(), expected);
     }
 }

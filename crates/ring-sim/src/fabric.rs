@@ -50,8 +50,8 @@ use crate::checkpoint::{
     encode_metrics, fnv1a, CheckpointError, Decoder, Encoder, Persist, SNAPSHOT_MAGIC,
 };
 use crate::engine::{
-    transmit, EngineConfig, LinkCapacity, LinkQueue, Node, NodeCtx, ParStrategy, Payload,
-    RunReport, SpanOutcome, Staged, StepIo,
+    transmit, EngineConfig, LinkCapacity, LinkQueue, Node, NodeCtx, Payload, RunReport,
+    SpanOutcome, Staged, StepIo,
 };
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -608,15 +608,6 @@ impl<N: FabricNode> Fabric<N> {
         Ok(None)
     }
 
-    fn apply_work(&mut self, node: usize, units: u64) {
-        if units > 0 {
-            self.processed += units;
-            self.metrics.processed_per_node[node] += units;
-            self.metrics.busy_steps_per_node[node] += 1;
-            self.metrics.last_busy_step = Some(self.t);
-        }
-    }
-
     fn end_round(&mut self, delta: &RoundDelta) {
         self.metrics.messages_sent += delta.messages_sent;
         self.metrics.job_hops += delta.job_hops;
@@ -632,53 +623,78 @@ impl<N: FabricNode> Fabric<N> {
     /// One sequential round: carry stalled inboxes over, step every node,
     /// deliver into the spare buffers, swap.
     fn seq_round(&mut self) -> Result<(), SimError> {
-        let t = self.t;
-        let record = matches!(self.config.trace, TraceLevel::Full);
-        // Two-phase faults borrow: the plan lives in config, the queues in
-        // self — clone the Option<&> out before the node loop.
-        let plan = self.config.faults.clone();
-        let plan = plan.as_ref();
-        if let Some(plan) = plan {
-            // A stalled processor does not consume its inbox: carry it
-            // over before anyone writes this round's sends.
-            for i in 0..self.nodes.len() {
-                if !plan.node_runs(i, t) {
-                    let (cur, spare) = (&mut self.cur[i], &mut self.spare[i]);
-                    spare.append(cur);
-                }
-            }
-        }
+        // Destructured so the plan is borrowed from `config` while the
+        // other fields are written.
+        let Fabric {
+            topo,
+            nodes,
+            config,
+            t,
+            processed,
+            cur,
+            spare,
+            queue_cw,
+            queue_ccw,
+            metrics,
+            trace,
+            ..
+        } = self;
+        let t = *t;
+        let record = matches!(config.trace, TraceLevel::Full);
+        let plan = config.faults.as_ref();
+        carry_stalled(plan, t, cur, spare);
         let mut sends = Vec::new();
         let mut out = Vec::new();
         let mut events = Vec::new();
         let mut delta = RoundDelta::default();
-        for i in 0..self.nodes.len() {
+        for i in 0..nodes.len() {
             let work = step_cell(
-                &mut self.nodes[i],
-                &self.topo,
+                &mut nodes[i],
+                topo,
                 i,
                 t,
-                &mut self.cur[i],
-                &mut self.queue_cw[i],
-                &mut self.queue_ccw[i],
+                &mut cur[i],
+                &mut queue_cw[i],
+                &mut queue_ccw[i],
                 plan,
-                self.config.link_capacity,
+                config.link_capacity,
                 record,
                 &mut sends,
                 &mut out,
                 &mut events,
                 &mut delta,
             )?;
-            self.apply_work(i, work);
+            apply_work(metrics, processed, t, i, work);
             for (dest, ap, msg) in out.drain(..) {
-                self.spare[dest].push((ap, msg));
+                spare[dest].push((ap, msg));
             }
         }
         for ev in events {
-            self.trace.record(ev);
+            trace.record(ev);
         }
         self.end_round(&delta);
         Ok(())
+    }
+}
+
+/// A stalled processor does not consume its inbox: carry it over before
+/// anyone writes this round's sends (carried messages must precede every
+/// sender's in the destination inbox).
+fn carry_stalled<T>(plan: Option<&FaultPlan>, t: u64, cur: &mut [Vec<T>], spare: &mut [Vec<T>]) {
+    let Some(plan) = plan else { return };
+    for (i, (cur, spare)) in cur.iter_mut().zip(spare).enumerate() {
+        if !plan.node_runs(i, t) {
+            spare.append(cur);
+        }
+    }
+}
+
+fn apply_work(metrics: &mut Metrics, processed: &mut u64, t: u64, node: usize, units: u64) {
+    if units > 0 {
+        *processed += units;
+        metrics.processed_per_node[node] += units;
+        metrics.busy_steps_per_node[node] += 1;
+        metrics.last_busy_step = Some(t);
     }
 }
 
@@ -743,9 +759,8 @@ where
 {
     /// Runs to completion with `shards` scoped workers over
     /// [`ring_topology::Topology::cuts`]; bit-identical to [`Fabric::run`]
-    /// for every shard count and both [`ParStrategy`] values
-    /// ([`crate::ParConfig::resolved_strategy`] picks, as for the ring
-    /// engine).
+    /// for every shard count, steal seed and pool size
+    /// ([`crate::ParConfig::steal_seed`] / [`crate::ParConfig::threads`]).
     pub fn par_run(&mut self, shards: usize) -> Result<RunReport, SimError> {
         match self.drive_par(None, shards)? {
             SpanOutcome::Done(report) => Ok(*report),
@@ -774,18 +789,25 @@ where
     /// the per-node state into per-shard slices, run shards concurrently,
     /// merge their effects in shard order (= node order).
     fn par_round(&mut self, cuts: &[std::ops::Range<usize>]) -> Result<(), SimError> {
-        let t = self.t;
-        let record = matches!(self.config.trace, TraceLevel::Full);
-        let plan = self.config.faults.clone();
-        let plan = plan.as_ref();
-        if let Some(plan) = plan {
-            for i in 0..self.nodes.len() {
-                if !plan.node_runs(i, t) {
-                    let (cur, spare) = (&mut self.cur[i], &mut self.spare[i]);
-                    spare.append(cur);
-                }
-            }
-        }
+        let Fabric {
+            topo,
+            nodes,
+            config,
+            t,
+            processed,
+            cur,
+            spare,
+            queue_cw,
+            queue_ccw,
+            metrics,
+            trace,
+            ..
+        } = self;
+        let t = *t;
+        let topo = &*topo;
+        let record = matches!(config.trace, TraceLevel::Full);
+        let plan = config.faults.as_ref();
+        carry_stalled(plan, t, cur, spare);
 
         // Slice the id space along the cuts. `cuts` partitions `0..n` in
         // order (a Topology contract, asserted by the trait tests), so
@@ -793,10 +815,10 @@ where
         let mut tasks: Vec<ShardTask<'_, N>> = Vec::with_capacity(cuts.len());
         {
             let (mut nodes, mut cur, mut qcw, mut qccw) = (
-                &mut self.nodes[..],
-                &mut self.cur[..],
-                &mut self.queue_cw[..],
-                &mut self.queue_ccw[..],
+                &mut nodes[..],
+                &mut cur[..],
+                &mut queue_cw[..],
+                &mut queue_ccw[..],
             );
             for (idx, range) in cuts.iter().enumerate() {
                 let len = range.len();
@@ -819,91 +841,61 @@ where
             }
         }
 
-        let topo = &self.topo;
-        let link_capacity = self.config.link_capacity;
+        let link_capacity = config.link_capacity;
         let n_shards = tasks.len();
-        let results: Vec<Option<Result<ShardOut<N::Msg>, SimError>>> =
-            match self.config.par.resolved_strategy() {
-                ParStrategy::Static => {
-                    // One scoped worker per shard for the round.
-                    let joined = std::thread::scope(|scope| {
-                        let handles: Vec<_> = tasks
-                            .into_iter()
-                            .map(|task| {
-                                scope.spawn(move || {
-                                    run_shard(task, topo, t, plan, link_capacity, record)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("fabric worker panicked"))
-                            .collect::<Vec<_>>()
-                    });
-                    joined.into_iter().map(Some).collect()
-                }
-                ParStrategy::Steal => {
-                    // A round-scoped pool: workers pop whole-shard tasks from
-                    // a shared deque (the seed picks which end each worker
-                    // pops, purely to diversify interleavings) and file
-                    // results by shard index, so the merge below is identical
-                    // to the static path whatever the steal schedule was.
-                    let seed = self.config.par.resolved_steal_seed();
-                    let workers = self
-                        .config
-                        .par
-                        .resolved_threads()
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism().map_or(1, usize::from)
-                        })
-                        .min(n_shards)
-                        .max(1);
-                    let queue = Mutex::new(tasks.into_iter().collect::<VecDeque<_>>());
-                    let slots: Vec<ShardSlot<N::Msg>> =
-                        (0..n_shards).map(|_| Mutex::new(None)).collect();
-                    std::thread::scope(|scope| {
-                        for w in 0..workers {
-                            let queue = &queue;
-                            let slots = &slots;
-                            scope.spawn(move || loop {
-                                let task = {
-                                    let mut q = queue.lock().expect("steal queue poisoned");
-                                    if (seed ^ w as u64) & 1 == 0 {
-                                        q.pop_front()
-                                    } else {
-                                        q.pop_back()
-                                    }
-                                };
-                                let Some(task) = task else { break };
-                                let idx = task.idx;
-                                let res = run_shard(task, topo, t, plan, link_capacity, record);
-                                *slots[idx].lock().expect("result slot poisoned") = Some(res);
-                            });
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|slot| slot.into_inner().expect("result slot poisoned"))
-                        .collect()
+        // A round-scoped pool: workers pop whole-shard tasks from a shared
+        // deque (the seed picks which end each worker pops, purely to
+        // diversify interleavings) and file results by shard index, so the
+        // merge below is the same whatever the steal schedule was. Worker 0
+        // is the calling thread, as in the ring engine's pool.
+        let seed = config.par.resolved_steal_seed();
+        let workers = config
+            .par
+            .resolved_threads()
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+            .min(n_shards)
+            .max(1);
+        let queue = Mutex::new(tasks.into_iter().collect::<VecDeque<_>>());
+        let slots: Vec<ShardSlot<N::Msg>> = (0..n_shards).map(|_| Mutex::new(None)).collect();
+        let work = |w: usize| loop {
+            let task = {
+                let mut q = queue.lock().expect("steal queue poisoned");
+                if (seed ^ w as u64) & 1 == 0 {
+                    q.pop_front()
+                } else {
+                    q.pop_back()
                 }
             };
+            let Some(task) = task else { break };
+            let idx = task.idx;
+            let res = run_shard(task, topo, t, plan, link_capacity, record);
+            *slots[idx].lock().expect("result slot poisoned") = Some(res);
+        };
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+            work(0);
+        });
 
         // Merge in shard order = node order: first error wins
         // deterministically, then deliveries, events, work and deltas.
         let mut delta = RoundDelta::default();
         let mut merged: Vec<ShardOut<N::Msg>> = Vec::with_capacity(n_shards);
-        for slot in results {
-            merged.push(slot.expect("every shard files a result")?);
+        for slot in slots {
+            let filed = slot.into_inner().expect("result slot poisoned");
+            merged.push(filed.expect("every shard files a result")?);
         }
         for shard in merged {
             for (dest, ap, msg) in shard.deliveries {
-                self.spare[dest].push((ap, msg));
+                spare[dest].push((ap, msg));
             }
             for ev in shard.events {
-                self.trace.record(ev);
+                trace.record(ev);
             }
             for (node, units) in shard.work {
-                self.apply_work(node, units);
+                apply_work(metrics, processed, t, node, units);
             }
             delta.absorb(&shard.delta);
         }
@@ -1316,23 +1308,27 @@ mod tests {
     }
 
     #[test]
-    fn par_static_and_steal_match_sequential_bit_for_bit() {
+    fn par_run_matches_sequential_bit_for_bit() {
         for topo in shapes() {
             let loads = skewed_loads(topo.len());
             let seq = run_seq(&topo, &loads, &full_cfg(None));
             for shards in [1, 2, 3, topo.len()] {
-                for strategy in [ParStrategy::Static, ParStrategy::Steal] {
+                for pool in POOLS {
                     let mut cfg = full_cfg(None);
-                    cfg.par.strategy = Some(strategy);
+                    (cfg.par.steal_seed, cfg.par.threads) = pool;
                     let nodes = Diffuser::fleet(&loads, &topo);
                     let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), cfg)
                         .par_run(shards)
                         .unwrap();
-                    assert_eq!(seq, par, "{} shards={shards} {strategy:?}", topo.spec());
+                    assert_eq!(seq, par, "{} shards={shards} {pool:?}", topo.spec());
                 }
             }
         }
     }
+
+    /// `(steal_seed, threads)` draws: the machine-fitted pool popping from
+    /// the front, and an oversubscribed one popping from both ends.
+    const POOLS: [(Option<u64>, Option<usize>); 2] = [(None, None), (Some(1), Some(3))];
 
     fn stormy_plan(n: usize) -> FaultPlan {
         let mut plan = FaultPlan::new();
@@ -1376,14 +1372,14 @@ mod tests {
             let violations = check_fabric_run(&loads, &topo, &seq, Some(&plan));
             assert!(violations.is_empty(), "{}: {violations:?}", topo.spec());
             for shards in [2, topo.len().div_ceil(2)] {
-                for strategy in [ParStrategy::Static, ParStrategy::Steal] {
+                for pool in POOLS {
                     let mut cfg = cfg.clone();
-                    cfg.par.strategy = Some(strategy);
+                    (cfg.par.steal_seed, cfg.par.threads) = pool;
                     let nodes = Diffuser::fleet(&loads, &topo);
                     let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), cfg)
                         .par_run(shards)
                         .unwrap();
-                    assert_eq!(seq, par, "{} shards={shards} {strategy:?}", topo.spec());
+                    assert_eq!(seq, par, "{} shards={shards} {pool:?}", topo.spec());
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! Cross-executor equivalence on non-ring topologies.
 //!
-//! The fabric engine's contract — `run` ≡ `par_run` (static *and* steal)
-//! bit-identically — was pinned on rings long before the topology
-//! generalization. This battery pins it on every other shape: random
-//! hierarchical rings, tori, and cliques under random fault plans, with
-//! the conservation oracle replaying every trace and `RINGSNAP`
-//! checkpoints crossing executors mid-run (the snapshot is taken under
-//! one shard count and resumed under an independently drawn one).
+//! The fabric engine's contract — `run` ≡ `par_run` bit-identically, for
+//! every shard count, steal seed and pool size — was pinned on rings long
+//! before the topology generalization. This battery pins it on every
+//! other shape: random hierarchical rings, tori, and cliques under random
+//! fault plans, with the conservation oracle replaying every trace and
+//! `RINGSNAP` checkpoints crossing executors mid-run (the snapshot is
+//! taken under one shard count and resumed under an independently drawn
+//! one).
 //!
 //! Case counts scale with `RING_FAULT_SEEDS` like the other randomized
 //! suites.
@@ -16,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ring_sched::{run_fabric, CliqueNode, DiffusionNode, FabricAlgo};
 use ring_sim::{
-    check_fabric_run, AnyTopology, Clique, EngineConfig, Fabric, FaultPlan, HierRing, ParStrategy,
-    RunReport, SpanOutcome, Topology, Torus2D, TraceLevel,
+    check_fabric_run, AnyTopology, Clique, EngineConfig, Fabric, FaultPlan, HierRing, RunReport,
+    SpanOutcome, Topology, Torus2D, TraceLevel,
 };
 
 /// Base 12 cases per property, scaled by `RING_FAULT_SEEDS`.
@@ -102,17 +103,13 @@ fn assert_executors_agree(seed: u64) {
     );
 
     let shards = rng.gen_range(1..=6);
-    let par = run_fabric(&topo, &loads, algo, full_cfg(plan.clone()), Some(shards))
-        .unwrap_or_else(|e| panic!("{} par: {e}", topo.spec()));
-    assert_eq!(seq, par, "{} static shards={shards}", topo.spec());
-
-    let steal_shards = rng.gen_range(1..=6);
     let mut cfg = full_cfg(plan);
-    cfg.par.strategy = Some(ParStrategy::Steal);
     cfg.par.steal_seed = Some(rng.gen_range(0..u64::MAX));
-    let steal = run_fabric(&topo, &loads, algo, cfg, Some(steal_shards))
-        .unwrap_or_else(|e| panic!("{} steal: {e}", topo.spec()));
-    assert_eq!(seq, steal, "{} steal shards={steal_shards}", topo.spec());
+    cfg.par.threads = [None, Some(1), Some(8)][rng.gen_range(0..3usize)];
+    let par_cfg = cfg.par;
+    let par = run_fabric(&topo, &loads, algo, cfg, Some(shards))
+        .unwrap_or_else(|e| panic!("{} par: {e}", topo.spec()));
+    assert_eq!(seq, par, "{} shards={shards} {par_cfg:?}", topo.spec());
 }
 
 /// Pause under one shard count, snapshot, resume into fresh nodes under
