@@ -343,9 +343,10 @@ pub trait Node {
     ///   the span minus `min(backlog, j + 1)`.
     ///
     /// The engine only fast-forwards when *every* node is quiescent and no
-    /// messages are in flight or queued, so the empty-inbox premise holds by
-    /// construction. Returning `None` (the default) opts the node out and
-    /// is always safe.
+    /// messages are in flight or queued, and the sequential executor skips
+    /// a single node on the promise only until a neighbor sends to it, so
+    /// the empty-inbox premise holds by construction. Returning `None` (the
+    /// default) opts the node out and is always safe.
     fn quiescence(&self, now: u64) -> Option<Quiescence> {
         let _ = now;
         None
@@ -1002,13 +1003,19 @@ fn synthesize_quiet_samples(
 const AWAKE: u64 = u64::MAX;
 
 /// The sequential executor's active-node frontier: the nodes a round has to
-/// step. A node leaves it by *parking* — after a step in which it did no
-/// work it promises, through [`Node::quiescence`], to stay inert
-/// (`backlog == 0`, `span ≥ 1`) while its inboxes are empty — and comes back
+/// step. A node leaves it by *parking* — after a step it promises, through
+/// [`Node::quiescence`], that while its inboxes stay empty it will only
+/// drain its `backlog`, one unit per round (`span ≥ 1`) — and comes back
 /// when a neighbor sends to it or the promise runs out. The rounds it
-/// skipped are owed to it as one [`Node::fast_forward`] call, paid before
+/// skipped are owed to it as one [`Node::fast_forward`] call, and the units
+/// it drained meanwhile as one booking into the metrics, both paid before
 /// its state is next stepped or observed. Stepping a listed node is always
 /// legal; only skipping needs the promise, so stale entries are harmless.
+///
+/// The run's processed total must still be exact at the end of every round
+/// (completion, the work-miscount check), so the frontier counts the
+/// parked nodes draining in the current round and retires each from the
+/// count at its drain end, without touching the node.
 #[derive(Default)]
 struct Frontier {
     /// Nodes stepped this round, ascending — the order the trace, the
@@ -1021,8 +1028,22 @@ struct Frontier {
     listed_for: Vec<u64>,
     /// First round each parked node was not stepped, [`AWAKE`] otherwise.
     parked_at: Vec<u64>,
+    /// First round in which the node's latest park no longer drains:
+    /// `parked_at + backlog` as promised, `u64::MAX` if that overflows
+    /// (never within a run), `parked_at` for an idle park. Kept past a
+    /// wake, so that while it lies ahead `drains` holds it for the node.
+    drain_end: Vec<u64>,
     /// `(wake round, node)` of parked nodes whose promise is finite.
     wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `(drain end, node)` of parked drainers. An entry is stale once its
+    /// node woke or re-parked with another end; [`Frontier::turn`] skips
+    /// those by checking `parked_at` and `drain_end`.
+    drains: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Parked nodes processing a unit in the round being swept.
+    draining: u64,
+    /// Drainers parked during the round being swept; they start draining
+    /// in the next one.
+    fresh: u64,
 }
 
 impl Frontier {
@@ -1036,7 +1057,12 @@ impl Frontier {
         self.listed_for.resize(m, 0);
         self.parked_at.clear();
         self.parked_at.resize(m, AWAKE);
+        self.drain_end.clear();
+        self.drain_end.resize(m, 0);
         self.wake.clear();
+        self.drains.clear();
+        self.draining = 0;
+        self.fresh = 0;
     }
 
     /// Lists node `i` for `round` (the one after the round being swept).
@@ -1047,43 +1073,111 @@ impl Frontier {
         }
     }
 
-    /// Parks node `i`: `round` is the first it will not be stepped in,
-    /// `span` its promise from there.
-    fn park(&mut self, i: usize, round: u64, span: u64) {
+    /// Parks node `i`: `round` is the first it will not be stepped in, `q`
+    /// its promise from there.
+    fn park(&mut self, i: usize, round: u64, q: Quiescence) {
         self.parked_at[i] = round;
-        if let Some(wake) = round.checked_add(span) {
+        if let Some(wake) = round.checked_add(q.span) {
             self.wake.push(Reverse((wake, i as u32)));
+        }
+        // An end past `u64::MAX` saturates to it: never within this run.
+        let end = round.saturating_add(q.backlog);
+        if end > round {
+            self.fresh += 1;
+            // An equal `drain_end` still ahead is already on the heap: a
+            // node woken by mail it merely passes on re-parks with the
+            // same end every round.
+            if end != u64::MAX && end != self.drain_end[i] {
+                if self.drains.len() >= 2 * self.drain_end.len() + 64 {
+                    self.compact_drains();
+                }
+                self.drains.push(Reverse((end, i as u32)));
+            }
+        }
+        self.drain_end[i] = end;
+    }
+
+    /// Drops the stale entries of `drains`, leaving at most one per node.
+    fn compact_drains(&mut self) {
+        let drain_end = &self.drain_end;
+        let mut live = std::mem::take(&mut self.drains).into_vec();
+        live.retain(|&Reverse((end, i))| drain_end[i as usize] == end);
+        live.sort_unstable();
+        live.dedup();
+        self.drains = live.into();
+    }
+
+    /// Books the units a parked node drained in rounds `since..to`.
+    fn book(metrics: &mut Metrics, i: usize, since: u64, to: u64) {
+        if to > since {
+            let d = to - since;
+            metrics.processed_per_node[i] += d;
+            metrics.busy_steps_per_node[i] += d;
+            metrics.last_busy_step = metrics.last_busy_step.max(Some(to - 1));
         }
     }
 
-    /// Pays node `i` the rounds it skipped before `t`.
-    fn settle<N: Node>(&mut self, i: usize, t: u64, node: &mut N) {
+    /// Pays node `i` the rounds it skipped before `t` and wakes it.
+    fn settle<N: Node>(&mut self, i: usize, t: u64, node: &mut N, metrics: &mut Metrics) {
         let since = std::mem::replace(&mut self.parked_at[i], AWAKE);
         if since < t {
             node.fast_forward(t - since);
         }
-    }
-
-    /// Pays every parked node the rounds it skipped before `t`, leaving it
-    /// parked: afterwards node state is exactly what the full sweep's is.
-    fn settle_all<N: Node>(&mut self, t: u64, nodes: &mut [N]) {
-        for (since, node) in self.parked_at.iter_mut().zip(nodes) {
-            if *since < t {
-                node.fast_forward(t - *since);
-                *since = t;
+        let end = self.drain_end[i];
+        if end > since {
+            Self::book(metrics, i, since, end.min(t));
+            if end > t {
+                self.draining -= 1;
             }
         }
     }
 
+    /// Pays every parked node the rounds it skipped before `t`, leaving it
+    /// parked: afterwards node state and metrics are exactly the full
+    /// sweep's.
+    fn settle_all<N: Node>(&mut self, t: u64, nodes: &mut [N], metrics: &mut Metrics) {
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let since = self.parked_at[i];
+            if since < t {
+                node.fast_forward(t - since);
+                Self::book(metrics, i, since, self.drain_end[i].min(t));
+                self.parked_at[i] = t;
+            }
+        }
+    }
+
+    /// The earliest round after the current one in which a parked node
+    /// wakes or stops draining (possibly a stale entry's, which is early).
+    fn next_event(&self) -> u64 {
+        let top = |heap: &BinaryHeap<Reverse<(u64, u32)>>| heap.peek().map_or(u64::MAX, |e| e.0 .0);
+        top(&self.wake).min(top(&self.drains))
+    }
+
     /// Turns the round: `next`, plus every parked node whose promise ends
-    /// by `round`, becomes the ascending `active` list of `round`.
+    /// by `round`, becomes the ascending `active` list of `round`, and
+    /// `draining` becomes the count of `round`.
     fn turn(&mut self, round: u64) {
+        self.draining += std::mem::take(&mut self.fresh);
         while let Some(&Reverse((wake, i))) = self.wake.peek() {
             if wake > round {
                 break;
             }
             self.wake.pop();
             self.list(i as usize, round);
+        }
+        // A node re-parked with an end it had pushed before has two equal
+        // entries; they pop back to back and count once.
+        let mut last = None;
+        while let Some(&Reverse(entry)) = self.drains.peek() {
+            if entry.0 > round {
+                break;
+            }
+            self.drains.pop();
+            let (end, i) = (entry.0, entry.1 as usize);
+            if last != Some(entry) && self.drain_end[i] == end && self.parked_at[i] < end {
+                self.draining -= 1;
+            }
+            last = Some(entry);
         }
         std::mem::swap(&mut self.active, &mut self.next);
         self.next.clear();
@@ -1535,19 +1629,21 @@ impl<N: Node> Engine<N> {
     /// The sequential executor behind [`Engine::run`] and
     /// [`Engine::run_span`].
     ///
-    /// A round steps the [`Frontier`], not the ring: a node that did no
-    /// work and promises (`quiescence(t + 1)` with `backlog == 0`,
-    /// `span ≥ 1`) to stay inert on empty inboxes is parked until a
-    /// neighbor sends to it or the promise ends, and is paid the skipped
-    /// rounds with one `fast_forward` when it wakes. Draining nodes stay
-    /// listed — they are the work. Every parked debt is settled wherever
-    /// node state becomes observable: a pause, a checkpoint, the
-    /// compression vote, completion, the step-budget error. A span starts
-    /// with all `m` nodes listed, as does the round after a compressed
-    /// span. Under a fault plan (stalled owners, link queues that drain
-    /// while the owner sleeps) or with `observe` on (every sample reads
-    /// every node's `pending_work`) nobody parks and the same loop body
-    /// sweeps all `m` nodes every round.
+    /// A round steps the [`Frontier`], not the ring: a node that promises
+    /// (`quiescence(t + 1)` with `span ≥ 1`) to do nothing on empty inboxes
+    /// but drain its backlog is parked until a neighbor sends to it or the
+    /// promise ends, and is paid the skipped rounds with one `fast_forward`
+    /// and the drained units with one booking when it wakes. Every parked
+    /// debt is settled wherever node state becomes observable: a pause, a
+    /// checkpoint, the compression vote, completion, the step-budget error.
+    /// A round with nothing listed jumps to the next round in which anything
+    /// can happen. A span starts with all `m` nodes listed, as does the
+    /// round after a compressed span. Under a full trace (`Processed` events
+    /// are recorded round by round) only idle nodes park. Under a fault
+    /// plan (stalled owners, link queues that drain while the owner sleeps)
+    /// or with `observe` on (every sample reads every node's
+    /// `pending_work`) nobody parks and the same loop body sweeps all `m`
+    /// nodes every round.
     fn run_bounded(&mut self, pause_at: Option<u64>) -> Result<SpanOutcome, SimError> {
         assert!(
             !self.finished,
@@ -1621,10 +1717,11 @@ impl<N: Node> Engine<N> {
         // Nobody parks under a fault plan or with observability on: the
         // frontier then stays the whole ring, round after round.
         let parking = plan.is_none() && obs.is_none();
+        let record_audit = matches!(self.config.trace, TraceLevel::Full);
+        let park_drainers = parking && !record_audit;
         frontier.seed(m);
         let mut stage_cw: Vec<N::Msg> = Vec::new();
         let mut stage_ccw: Vec<N::Msg> = Vec::new();
-        let record_audit = matches!(self.config.trace, TraceLevel::Full);
         let mut audit_buf: Vec<DropRecord> = Vec::new();
 
         // Step-compression state: how many logical messages entered the
@@ -1645,7 +1742,7 @@ impl<N: Node> Engine<N> {
         let mut t: u64 = start_t;
         loop {
             if t >= max_steps {
-                frontier.settle_all(t, &mut self.nodes);
+                frontier.settle_all(t, &mut self.nodes, &mut metrics);
                 return Err(SimError::ExceededMaxSteps {
                     max_steps,
                     processed: processed_total,
@@ -1659,7 +1756,7 @@ impl<N: Node> Engine<N> {
             // to the caller. Completion is checked at the end of round t-1,
             // so a finished run never pauses.
             if pause_at == Some(t) {
-                frontier.settle_all(t, &mut self.nodes);
+                frontier.settle_all(t, &mut self.nodes, &mut metrics);
                 self.resume = Some(ResumeState {
                     t0: t,
                     prev_round_departed,
@@ -1687,7 +1784,7 @@ impl<N: Node> Engine<N> {
             // all trace events < t), so the snapshot is self-contained.
             if let Some(every) = cp_every {
                 if t > start_t && t % every == 0 {
-                    frontier.settle_all(t, &mut self.nodes);
+                    frontier.settle_all(t, &mut self.nodes, &mut metrics);
                     let hook = self.checkpoint.as_mut().expect("gated on hook presence");
                     let snap = build_snapshot(
                         hook.save_msg,
@@ -1739,7 +1836,7 @@ impl<N: Node> Engine<N> {
                     // boundary (p > t here: the pause check above returned).
                     budget = budget.min(p - t);
                 }
-                frontier.settle_all(t, &mut self.nodes);
+                frontier.settle_all(t, &mut self.nodes, &mut metrics);
                 if let Some(k) = arc_quiescence(&self.nodes, t, &mut quiet_backlogs)
                     .and_then(|(span, max_b)| compression_k(span, max_b, budget))
                 {
@@ -1796,6 +1893,29 @@ impl<N: Node> Engine<N> {
                 }
             }
 
+            // With nothing listed there is nothing in flight either (every
+            // sender lists its receivers), so until the next wake or drain
+            // end only the parked drainers work: take those rounds at once,
+            // stopping at the pause, the next checkpoint and the step budget
+            // as a round-by-round loop would, and at the round the processed
+            // total reaches the total work.
+            let mut rounds = 1;
+            if parking && frontier.active.is_empty() {
+                let mut to = frontier.next_event().min(max_steps);
+                if let Some(p) = pause_at {
+                    to = to.min(p);
+                }
+                if let Some(boundary) = cp_every.and_then(|k| (t / k + 1).checked_mul(k)) {
+                    to = to.min(boundary);
+                }
+                rounds = to - t;
+                if frontier.draining > 0 {
+                    let left = self.total_work - processed_total;
+                    rounds = rounds.min(left.div_ceil(frontier.draining));
+                }
+                debug_assert!(rounds >= 1 && prev_round_departed == 0);
+            }
+
             let mut round_departed: u64 = 0;
 
             // A stalled processor does not consume its inbox: carry the
@@ -1819,7 +1939,7 @@ impl<N: Node> Engine<N> {
             for at in 0..frontier.active.len() {
                 let i = frontier.active[at] as usize;
                 if parking {
-                    frontier.settle(i, t, &mut self.nodes[i]);
+                    frontier.settle(i, t, &mut self.nodes[i], &mut metrics);
                 }
                 let ctx = NodeCtx {
                     id: i,
@@ -1936,14 +2056,18 @@ impl<N: Node> Engine<N> {
                     if dep_ccw.messages > 0 {
                         frontier.list(dest_ccw, t + 1);
                     }
-                    // A node that worked is kept without asking; one that
-                    // still holds backlog is the work the cost should follow.
-                    let promise = match step.work_done {
-                        0 => self.nodes[i].quiescence(t + 1),
-                        _ => None,
+                    // A node its counterclockwise neighbor (stepped first)
+                    // just sent to is stepped next round anyway, so it is
+                    // kept without asking.
+                    let promise = if frontier.listed_for[i] == t + 1 {
+                        None
+                    } else {
+                        self.nodes[i].quiescence(t + 1)
                     };
                     match promise {
-                        Some(q) if q.backlog == 0 && q.span >= 1 => frontier.park(i, t + 1, q.span),
+                        Some(q) if q.span >= 1 && (q.backlog == 0 || park_drainers) => {
+                            frontier.park(i, t + 1, q)
+                        }
                         _ => frontier.list(i, t + 1),
                     }
                     if dep_cw.messages > 0 {
@@ -1952,7 +2076,8 @@ impl<N: Node> Engine<N> {
                 }
             }
             if parking {
-                frontier.turn(t + 1);
+                processed_total += frontier.draining * rounds;
+                frontier.turn(t + rounds);
             }
             metrics.peak_inflight_jobs = metrics.peak_inflight_jobs.max(inflight_payload);
             if let Some(o) = obs.as_mut() {
@@ -1964,7 +2089,7 @@ impl<N: Node> Engine<N> {
             // next_* now hold the cleared previous-round vectors.
             prev_round_departed = round_departed;
 
-            t += 1;
+            t += rounds;
             metrics.steps = t;
 
             if processed_total > self.total_work {
@@ -1974,7 +2099,7 @@ impl<N: Node> Engine<N> {
                 });
             }
             if processed_total == self.total_work {
-                frontier.settle_all(t, &mut self.nodes);
+                frontier.settle_all(t, &mut self.nodes, &mut metrics);
                 debug_assert!(
                     self.nodes.iter().all(|n| n.pending_work() == 0),
                     "all work processed but a node still reports pending work"
@@ -4005,6 +4130,183 @@ mod tests {
                 }
             };
             assert_eq!(spanned, report, "compress={compress}");
+        }
+    }
+
+    /// Drains its backlog a unit a round, adds what its counterclockwise
+    /// neighbor sends, and at each `(round, units)` of `gifts` sends that
+    /// much of its backlog clockwise. With `promise` it parks until its
+    /// next gift.
+    struct Trader {
+        backlog: u64,
+        gifts: Vec<(u64, u64)>,
+        promise: bool,
+    }
+
+    impl Node for Trader {
+        type Msg = Potato;
+
+        fn on_step(&mut self, ctx: &NodeCtx, io: &mut StepIo<'_, Potato>) -> u64 {
+            for p in io.inbox.from_ccw.drain(..) {
+                self.backlog += p.0;
+            }
+            if let Some(&(_, units)) = self.gifts.iter().find(|g| g.0 == ctx.t) {
+                let units = units.min(self.backlog);
+                self.backlog -= units;
+                io.out.push(Direction::Cw, Potato(units));
+            }
+            let work = self.backlog.min(1);
+            self.backlog -= work;
+            work
+        }
+
+        fn pending_work(&self) -> u64 {
+            self.backlog
+        }
+
+        fn quiescence(&self, now: u64) -> Option<Quiescence> {
+            let next_gift = self.gifts.iter().map(|g| g.0).filter(|&g| g >= now).min();
+            self.promise.then_some(Quiescence {
+                span: next_gift.map_or(u64::MAX, |g| g - now),
+                backlog: self.backlog,
+            })
+        }
+
+        fn fast_forward(&mut self, steps: u64) {
+            self.backlog -= self.backlog.min(steps);
+        }
+    }
+
+    #[test]
+    fn step_budget_expiring_mid_drain_reports_the_full_sweeps_count() {
+        let loads = [30u64, 0, 12, 50, 7];
+        let ring = |promise: bool| -> Vec<Trader> {
+            loads
+                .iter()
+                .map(|&backlog| Trader {
+                    backlog,
+                    gifts: Vec::new(),
+                    promise,
+                })
+                .collect()
+        };
+        for compress in [false, true] {
+            let config = EngineConfig {
+                max_steps: Some(20),
+                compress,
+                ..EngineConfig::default()
+            };
+            let total = loads.iter().sum();
+            let parked = Engine::new(ring(true), total, config.clone()).run();
+            let swept = Engine::new(ring(false), total, config.clone()).run();
+            assert_eq!(parked, swept, "compress={compress}");
+            match parked {
+                Err(SimError::ExceededMaxSteps { processed, .. }) => {
+                    assert_eq!(processed, 20 + 12 + 20 + 7, "compress={compress}")
+                }
+                other => panic!("compress={compress}: expected the budget error, got {other:?}"),
+            }
+
+            // The same with a pause inside the drain.
+            let mut parked = Engine::new(ring(true), total, config.clone());
+            let mut swept = Engine::new(ring(false), total, config);
+            assert_eq!(parked.run_span(9).unwrap(), swept.run_span(9).unwrap());
+            assert_eq!(parked.processed(), 9 + 9 + 9 + 7);
+            assert_eq!(
+                parked.run(),
+                swept.run(),
+                "compress={compress}: after a pause"
+            );
+        }
+    }
+
+    #[test]
+    fn a_drain_end_pushed_twice_is_retired_once() {
+        // Node 1 parks at 1 to drain until 20, takes 5 units at 4 (drain end
+        // 25), gives 5 away at 7 and re-parks with its first end, 20, while
+        // that entry is still on the heap.
+        let ring = |promise: bool| {
+            vec![
+                Trader {
+                    backlog: 10,
+                    gifts: vec![(3, 5)],
+                    promise,
+                },
+                Trader {
+                    backlog: 20,
+                    gifts: vec![(7, 5)],
+                    promise,
+                },
+                Trader {
+                    backlog: 0,
+                    gifts: Vec::new(),
+                    promise,
+                },
+            ]
+        };
+        let parked = Engine::new(ring(true), 30, EngineConfig::default()).run();
+        let swept = Engine::new(ring(false), 30, EngineConfig::default()).run();
+        assert_eq!(parked, swept);
+        assert_eq!(parked.unwrap().metrics.processed_per_node, vec![5, 20, 5]);
+    }
+
+    /// Processes a unit every round, forever, and (with `promise`) says so
+    /// with the largest backlog there is, so its drain end overflows.
+    struct Spring {
+        processed: u64,
+        promise: bool,
+    }
+
+    impl Node for Spring {
+        type Msg = NoMsg;
+
+        fn on_step(&mut self, _ctx: &NodeCtx, _io: &mut StepIo<'_, NoMsg>) -> u64 {
+            self.processed += 1;
+            1
+        }
+
+        fn pending_work(&self) -> u64 {
+            u64::MAX - self.processed
+        }
+
+        fn quiescence(&self, _now: u64) -> Option<Quiescence> {
+            self.promise.then_some(Quiescence {
+                span: u64::MAX,
+                backlog: u64::MAX,
+            })
+        }
+
+        fn fast_forward(&mut self, steps: u64) {
+            self.processed += steps;
+        }
+    }
+
+    #[test]
+    fn a_backlog_near_u64_max_does_not_overflow_the_drain_books() {
+        for compress in [false, true] {
+            let config = EngineConfig {
+                max_steps: Some(40),
+                compress,
+                ..EngineConfig::default()
+            };
+            let ring = |promise: bool| {
+                (0..3)
+                    .map(|_| Spring {
+                        processed: 0,
+                        promise,
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let parked = Engine::new(ring(true), u64::MAX, config.clone()).run();
+            let swept = Engine::new(ring(false), u64::MAX, config).run();
+            assert_eq!(parked, swept, "compress={compress}");
+            assert!(
+                matches!(
+                    parked,
+                    Err(SimError::ExceededMaxSteps { processed: 120, .. })
+                ),
+                "compress={compress}: {parked:?}"
+            );
         }
     }
 

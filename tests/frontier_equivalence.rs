@@ -1,15 +1,19 @@
 //! `Engine::run` on `N` ≡ `Engine::run` on `Unparked<N>`, bit for bit.
 //!
-//! The sequential engine steps an active-node frontier: a node that did
-//! no work and promises to stay inert is parked and paid its skipped
-//! rounds later (DESIGN.md §6). [`Unparked`] withholds the promise, so
-//! the same engine sweeps all `m` nodes every round — the executable
-//! full sweep. This battery runs both on random instances across every
-//! policy that parks (the six unit algorithms, arbitrary sizes, dynamic
-//! arrivals), with compression on and off, and compares everything an
-//! observer can reach: the full-trace `RunReport`, the final node
-//! states, the `RINGSNAP` bytes at every pause and checkpoint (taken
-//! while nodes are parked), and a resume from one of those snapshots.
+//! The sequential engine steps an active-node frontier: a node that
+//! promises to do nothing on empty inboxes but drain its backlog is parked
+//! and paid its skipped rounds and drained units later (DESIGN.md §6).
+//! [`Unparked`] withholds the promise, so the same engine sweeps all `m`
+//! nodes every round — the executable full sweep. This battery runs both
+//! on random instances across every policy that parks (the six unit
+//! algorithms, arbitrary sizes, dynamic arrivals), on sparse rings (most
+//! nodes idle) and dense ones (every node draining while Lemma 5
+//! wrap-around buckets pass through and wake it), with compression on and
+//! off, and compares everything an observer can reach: the `RunReport`
+//! with and without a full trace (drainers park only without one), the
+//! final node states, the `RINGSNAP` bytes at every pause and checkpoint
+//! (taken while drainers are parked mid-drain), and a resume from one of
+//! those snapshots.
 //!
 //! Case counts scale with `RING_FAULT_SEEDS` like the other randomized
 //! suites.
@@ -151,18 +155,37 @@ where
     let horizon = f.late.last().map_or(0, |a| a.time);
     let all_work = f.total + f.late.iter().map(|a| a.count).sum::<u64>();
     let m = (f.build)().len() as u64;
+    // Drainers park only without a full trace, so the pauses and
+    // checkpoints below mostly run without one.
     let cfg = EngineConfig {
         max_steps: Some(4 * (all_work + m) + horizon + 64),
-        trace: TraceLevel::Full,
+        trace: match rng.gen_range(0..4) {
+            0 => TraceLevel::Full,
+            _ => TraceLevel::Off,
+        },
         compress: rng.gen_range(0..2) == 1,
         ..EngineConfig::default()
     };
 
-    // Uninterrupted.
-    let (report, nodes) = run_whole(f, &cfg, |n| n);
-    let (full_report, full_nodes) = run_whole(f, &cfg, Unparked);
-    assert_eq!(report, full_report, "{label}: report");
-    assert_eq!(nodes, full_nodes, "{label}: final node states");
+    // Uninterrupted, under both trace levels.
+    let [full, off] = [TraceLevel::Full, TraceLevel::Off].map(|trace| {
+        let cfg = EngineConfig {
+            trace,
+            ..cfg.clone()
+        };
+        let (report, nodes) = run_whole(f, &cfg, |n| n);
+        let (full_report, full_nodes) = run_whole(f, &cfg, Unparked);
+        assert_eq!(report, full_report, "{label}: report, trace {trace:?}");
+        assert_eq!(
+            nodes, full_nodes,
+            "{label}: final node states, trace {trace:?}"
+        );
+        report
+    });
+    let report = match cfg.trace {
+        TraceLevel::Full => full,
+        TraceLevel::Off => off,
+    };
 
     // Random spans, scheduling each late arrival at a pause before its time.
     let mut parked = Engine::new((f.build)(), f.total, cfg.clone());
@@ -172,7 +195,8 @@ where
         cfg.clone(),
     );
     let mut next = 0;
-    loop {
+    let mut paused_snap = None;
+    let spanned = loop {
         let t = parked.t();
         let pause_at = t + rng.gen_range(1u64..=9);
         let ahead = pause_at + rng.gen_range(0u64..=40);
@@ -187,19 +211,31 @@ where
         let a = parked.run_span(pause_at).expect("parked span");
         let b = swept.run_span(pause_at).expect("swept span");
         assert_eq!(a, b, "{label}: span ending at {pause_at}");
-        if matches!(a, SpanOutcome::Done(_)) {
+        if let SpanOutcome::Done(last) = a {
             assert_eq!(
                 node_bytes(parked.nodes()),
                 node_bytes(swept.nodes()),
                 "{label}: node states after the last span"
             );
-            break;
+            break *last;
         }
+        let snap = parked.snapshot().expect("parked snapshot");
         assert_eq!(
-            parked.snapshot().expect("parked snapshot").to_bytes(),
+            snap.to_bytes(),
             swept.snapshot().expect("swept snapshot").to_bytes(),
             "{label}: snapshot at pause {pause_at}"
         );
+        // Once every arrival is in, any pause may serve as a resume point.
+        if next == f.late.len() && (paused_snap.is_none() || rng.gen_range(0..3) == 0) {
+            paused_snap = Some(snap);
+        }
+    };
+    if let Some(snap) = paused_snap {
+        let resumed = Engine::resume((f.build)(), cfg.clone(), &snap)
+            .expect("resume")
+            .run()
+            .expect("resumed run");
+        assert_eq!(resumed, spanned, "{label}: resumed from pause {}", snap.t);
     }
 
     // Checkpoint cadence; the snapshots are taken while nodes are parked.
@@ -223,13 +259,17 @@ where
     }
 }
 
-/// A few piles on a mostly empty ring (so most nodes park), plus a thin
-/// sprinkle of small loads.
+/// Either a few piles on a mostly empty ring (so most nodes park idle),
+/// plus a thin sprinkle of small loads; or a dense ring, every node loaded
+/// and a few heavy piles, whose buckets lap the ring (the B/C variants'
+/// Lemma 5 wrap-around) and keep waking nodes that parked mid-drain.
 fn random_loads(rng: &mut StdRng, m: usize) -> Vec<u64> {
+    let dense = rng.gen_range(0..2) == 1;
     let mut loads: Vec<u64> = (0..m)
-        .map(|_| match rng.gen_range(0..5) {
-            0 => rng.gen_range(1..=3),
-            _ => 0,
+        .map(|_| match (dense, rng.gen_range(0..5)) {
+            (true, _) => rng.gen_range(1..=40),
+            (false, 0) => rng.gen_range(1..=3),
+            (false, _) => 0,
         })
         .collect();
     for _ in 0..rng.gen_range(1..=3) {
@@ -292,13 +332,22 @@ fn assert_all_policies(seed: u64) {
     );
 
     // Dynamic arrivals: the loads released at t = 0, then a random script
-    // with idle gaps for the wake heap to carry.
+    // with idle gaps for the wake heap to carry. Half the arrivals land on
+    // the heaviest processor while it is still draining its own pile.
     let unit = UnitConfig::all_six()[rng.gen_range(0usize..6)].1;
+    let heaviest = (0..m).max_by_key(|&i| loads[i]).expect("m >= 1");
     let mut late: Vec<Arrival> = (0..rng.gen_range(0..=6))
-        .map(|_| Arrival {
-            time: rng.gen_range(1..=150),
-            processor: rng.gen_range(0..m),
-            count: rng.gen_range(1..=40),
+        .map(|_| match rng.gen_range(0..2) {
+            0 => Arrival {
+                time: rng.gen_range(1..=loads[heaviest].max(1)),
+                processor: heaviest,
+                count: rng.gen_range(1..=40),
+            },
+            _ => Arrival {
+                time: rng.gen_range(1..=150),
+                processor: rng.gen_range(0..m),
+                count: rng.gen_range(1..=40),
+            },
         })
         .collect();
     late.sort_by_key(|a| a.time);
