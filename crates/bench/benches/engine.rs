@@ -1,14 +1,10 @@
-//! Sequential vs arc-parallel engine: `Engine::run` against
-//! `Engine::par_run` on the same instances, up to m = 4096.
-//!
-//! The two executors produce bit-identical reports (asserted once per
-//! group before timing), so this measures pure execution cost: arena
-//! stepping on one thread versus arc sharding with two barriers per
-//! round. Small rings should favor `run` (barriers dominate); the
-//! crossover is the number worth watching as `m` grows.
+//! The ring engine's cost on the stream workload (per-unit vs coalesced
+//! messages, the drain shape with and without step compression) and the
+//! price of observability. `Engine::run` is the ring's one executor
+//! (`par_run` is the same loop), so there is no executor axis here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ring_sched::unit::{run_unit, run_unit_par, UnitConfig};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ring_sched::unit::{run_unit, UnitConfig};
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
 use ring_sim::{EngineConfig, Instance};
 use std::hint::black_box;
@@ -19,28 +15,15 @@ fn instance(m: usize) -> Instance {
     Instance::concentrated(m, 0, (m as u64) * 16)
 }
 
-fn run_vs_par_run(c: &mut Criterion) {
-    let shard_counts = [2usize, 4, 8];
+fn sequential_run(c: &mut Criterion) {
     for &m in &[256usize, 1024, 4096] {
         let inst = instance(m);
         let cfg = UnitConfig::c1();
-        // Equivalence guard: never benchmark two executors that disagree.
-        let seq = run_unit(&inst, &cfg).unwrap();
-        for &s in &shard_counts {
-            let par = run_unit_par(&inst, &cfg, s).unwrap();
-            assert_eq!(seq.report, par.report, "m={m} shards={s} diverged");
-        }
-
         let mut group = c.benchmark_group(format!("engine/m={m}"));
         group.throughput(Throughput::Elements(m as u64));
         group.bench_function("run", |b| {
             b.iter(|| run_unit(black_box(&inst), &cfg).unwrap().makespan)
         });
-        for &s in &shard_counts {
-            group.bench_with_input(BenchmarkId::new("par_run", s), &s, |b, &s| {
-                b.iter(|| run_unit_par(black_box(&inst), &cfg, s).unwrap().makespan)
-            });
-        }
         group.finish();
     }
 }
@@ -58,8 +41,7 @@ fn coalesced_representation(c: &mut Criterion) {
             compress,
             ..EngineConfig::default()
         };
-        // Equivalence guard, as above: never benchmark variants that
-        // disagree.
+        // Equivalence guard: never benchmark variants that disagree.
         let base = stream_engine(&spread, Representation::PerUnit, cfg(false))
             .run()
             .unwrap();
@@ -122,6 +104,6 @@ fn observe_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = run_vs_par_run, coalesced_representation, observe_overhead
+    targets = sequential_run, coalesced_representation, observe_overhead
 }
 criterion_main!(benches);

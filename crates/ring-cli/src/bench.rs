@@ -1,17 +1,17 @@
 //! `ringsched bench` — the engine throughput baseline.
 //!
 //! Runs the stream workload (`ring_sim::stream`) over a matrix of ring
-//! sizes, message representations (per-unit vs count-coalesced), and
-//! executors (`run` vs `par_run`), plus the drain shape with and without
-//! quiescent-span step compression. Emits a hand-written JSON report
+//! sizes and message representations (per-unit vs count-coalesced), plus
+//! the drain shape with and without quiescent-span step compression, the
+//! hotspot shape, and the fabric engine's torus and clique shapes under
+//! `run` and `par_run`. Emits a hand-written JSON report
 //! (`BENCH_engine.json` by convention) with per-case best-of-reps timings
-//! and the
-//! machine-independent speedup *ratios* CI's `bench-smoke` job regresses
-//! against.
+//! and machine-independent speedup *ratios*.
 //!
-//! The ratios — coalesced over per-unit jobs/sec on the same machine, and
-//! compressed over plain — are what the trajectory tracks: absolute ns/step
-//! numbers shift with hardware, the ratios should not.
+//! The ratios — coalesced over per-unit jobs/sec on the same machine,
+//! compressed over plain, fabric `par_run` over `run` — are what the
+//! trajectory tracks: absolute ns/step numbers shift with hardware, the
+//! ratios should not.
 
 use ring_sched::{run_fabric, FabricAlgo};
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
@@ -74,21 +74,13 @@ fn bench_case(
     spec: &StreamSpec,
     repr: Representation,
     compress: bool,
-    shards: usize,
     reps: usize,
 ) -> BenchRecord {
     let cfg = EngineConfig {
         compress,
         ..EngineConfig::default()
     };
-    let exec = |spec: &StreamSpec| {
-        let mut engine = stream_engine(spec, repr, cfg.clone());
-        if shards > 1 {
-            engine.par_run(shards)
-        } else {
-            engine.run()
-        }
-    };
+    let exec = |spec: &StreamSpec| stream_engine(spec, repr, cfg.clone()).run();
     // Warmup (also captures steps/makespan once; every rep is identical
     // because the whole pipeline is deterministic).
     let report = exec(spec).unwrap_or_else(|e| {
@@ -116,11 +108,7 @@ fn bench_case(
             Representation::PerUnit => "per_unit",
             Representation::Coalesced => "coalesced",
         },
-        executor: if shards > 1 {
-            format!("par_run({shards})")
-        } else {
-            "run".to_string()
-        },
+        executor: "run".to_string(),
         compress,
         total_work: spec.total_work(),
         steps,
@@ -131,20 +119,13 @@ fn bench_case(
 }
 
 /// Times the fixed-span shape: `SPAN_ROUNDS` rounds of the spread stream
-/// on a large ring, paused mid-flight. Both executors pause on the same
-/// round boundary with bit-identical processed counts (asserted below), so
-/// the cells are directly comparable; throughput is jobs processed within
+/// on a large ring, paused mid-flight; throughput is jobs processed within
 /// the span. Only the coalesced representation runs here — per-unit arena
 /// traffic at these sizes measures allocator churn, not the sweep.
-fn bench_span_case(key: String, spec: &StreamSpec, shards: usize, reps: usize) -> BenchRecord {
+fn bench_span_case(key: String, spec: &StreamSpec, reps: usize) -> BenchRecord {
     let exec = |spec: &StreamSpec| {
         let mut engine = stream_engine(spec, Representation::Coalesced, EngineConfig::default());
-        let out = if shards > 1 {
-            engine.par_run_span(SPAN_ROUNDS, shards)
-        } else {
-            engine.run_span(SPAN_ROUNDS)
-        };
-        match out {
+        match engine.run_span(SPAN_ROUNDS) {
             Ok(SpanOutcome::Paused { processed, .. }) => processed,
             Ok(SpanOutcome::Done(report)) => report.metrics.total_processed(),
             Err(e) => {
@@ -167,11 +148,7 @@ fn bench_span_case(key: String, spec: &StreamSpec, shards: usize, reps: usize) -
         m: spec.initial.len(),
         shape: "span",
         repr: "coalesced",
-        executor: if shards > 1 {
-            format!("par_run({shards})")
-        } else {
-            "run".to_string()
-        },
+        executor: "run".to_string(),
         compress: false,
         total_work: processed,
         steps: SPAN_ROUNDS,
@@ -186,8 +163,7 @@ fn bench_span_case(key: String, spec: &StreamSpec, shards: usize, reps: usize) -
 /// hotspot neighborhood with a thin uniform background; collapsing the
 /// script's arrivals into initial loads (quota = load, so every unit drains
 /// where it sits) yields a ring where a few contiguous stretches hold large
-/// backlogs and the rest quiesce after a handful of rounds — the shape
-/// where the task pool has something to steal.
+/// backlogs and the rest quiesce after a handful of rounds.
 fn hotspot_spec(m: usize) -> StreamSpec {
     let burst = (m as u64 / 2).max(4);
     let script = PageMigration::new(m, 16, 1, burst).script(1994);
@@ -407,47 +383,23 @@ fn run_matrix(
         bench_fabric_cells(&mut results, &mut speedups, m, shards, reps);
         if m > SPAN_ONLY_ABOVE {
             eprintln!("benchmarking m={m} (fixed span of {SPAN_ROUNDS} rounds, {reps} reps)...");
-            for (exec_name, s) in [("run", 1usize), ("par", shards)] {
-                let key = format!("span-m{m}-{exec_name}");
-                results.push(bench_span_case(key, &spread, s, reps));
-            }
-            let run_jps = find_jobs_per_sec(&results, &format!("span-m{m}-run"));
-            let par_jps = find_jobs_per_sec(&results, &format!("span-m{m}-par"));
-            speedups.push(SpeedupRecord {
-                key: format!("span-m{m}-par-over-run"),
-                ratio: par_jps / run_jps,
-            });
+            results.push(bench_span_case(format!("span-m{m}-run"), &spread, reps));
             continue;
         }
         let drain = StreamSpec::drain(m, drain_work);
         eprintln!("benchmarking m={m} (spread work={spread_work}, {reps} reps per cell)...");
-        for (exec_name, s) in [("run", 1usize), ("par", shards)] {
-            for (repr_name, repr) in [
-                ("per_unit", Representation::PerUnit),
-                ("coalesced", Representation::Coalesced),
-            ] {
-                let key = format!("spread-m{m}-{exec_name}-{repr_name}");
-                results.push(bench_case(key, "spread", &spread, repr, false, s, reps));
-            }
-            let per_unit =
-                find_jobs_per_sec(&results, &format!("spread-m{m}-{exec_name}-per_unit"));
-            let coalesced =
-                find_jobs_per_sec(&results, &format!("spread-m{m}-{exec_name}-coalesced"));
-            speedups.push(SpeedupRecord {
-                key: format!("spread-m{m}-{exec_name}"),
-                ratio: coalesced / per_unit,
-            });
+        for (repr_name, repr) in [
+            ("per_unit", Representation::PerUnit),
+            ("coalesced", Representation::Coalesced),
+        ] {
+            let key = format!("spread-m{m}-run-{repr_name}");
+            results.push(bench_case(key, "spread", &spread, repr, false, reps));
         }
-        // The executor ratio tracks the production representation; the
-        // per-unit cells above keep the seed's cost model visible but
-        // benchmark arena churn more than the executors. It is recorded,
-        // not gated: since `run` steps an active-node frontier the sharded
-        // executors pay their coordination for nothing on these shapes.
-        let run_c = find_jobs_per_sec(&results, &format!("spread-m{m}-run-coalesced"));
-        let par_c = find_jobs_per_sec(&results, &format!("spread-m{m}-par-coalesced"));
+        let per_unit = find_jobs_per_sec(&results, &format!("spread-m{m}-run-per_unit"));
+        let coalesced = find_jobs_per_sec(&results, &format!("spread-m{m}-run-coalesced"));
         speedups.push(SpeedupRecord {
-            key: format!("spread-m{m}-par-over-run"),
-            ratio: par_c / run_c,
+            key: format!("spread-m{m}-run"),
+            ratio: coalesced / per_unit,
         });
         for (tag, compress) in [("plain", false), ("compressed", true)] {
             let key = format!("drain-m{m}-{tag}");
@@ -457,7 +409,6 @@ fn run_matrix(
                 &drain,
                 Representation::Coalesced,
                 compress,
-                1,
                 reps,
             ));
         }
@@ -468,25 +419,14 @@ fn run_matrix(
             ratio: compressed / plain,
         });
         // The hotspot shape is the imbalanced-ring axis.
-        let hotspot = hotspot_spec(m);
-        for (tag, s) in [("run", 1usize), ("par", shards)] {
-            let key = format!("hotspot-m{m}-{tag}");
-            results.push(bench_case(
-                key,
-                "hotspot",
-                &hotspot,
-                Representation::Coalesced,
-                false,
-                s,
-                reps,
-            ));
-        }
-        let run_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-run"));
-        let par_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par"));
-        speedups.push(SpeedupRecord {
-            key: format!("hotspot-m{m}-par-over-run"),
-            ratio: par_h / run_h,
-        });
+        results.push(bench_case(
+            format!("hotspot-m{m}-run"),
+            "hotspot",
+            &hotspot_spec(m),
+            Representation::Coalesced,
+            false,
+            reps,
+        ));
     }
     (results, speedups)
 }
@@ -495,8 +435,9 @@ fn run_matrix(
 ///
 /// Flags: `--json <path>` (write the report), `--sizes 256,1024,4096`
 /// (sizes above 8192 run in fixed-span mode), `--reps <n>`, `--shards
-/// <n>`, `--check <baseline.json>` (fail if any speedup ratio present in
-/// both runs dropped below 80% of the baseline).
+/// <n>` (the fabric `par_run` cells), `--check <baseline.json>` (fail if
+/// any speedup ratio present in both runs dropped below 80% of the
+/// baseline).
 pub fn cmd_bench(flags: &HashMap<String, String>) {
     let sizes: Vec<usize> = flags
         .get("sizes")

@@ -33,10 +33,9 @@ mod trace_cmd;
 use ring_opt::exact::{optimum_capacitated, optimum_uncapacitated, OptResult, SolverBudget};
 use ring_opt::{capacitated_lower_bound, uncapacitated_lower_bound};
 use ring_sched::capacitated::run_capacitated;
-use ring_sched::dynamic::{parse_arrivals, run_dynamic, run_dynamic_par, DynamicInstance};
+use ring_sched::dynamic::{parse_arrivals, run_dynamic, DynamicInstance};
 use ring_sched::unit::{
-    resume_unit, run_unit, run_unit_checkpointed, run_unit_faulty, run_unit_par,
-    run_unit_par_faulty, UnitConfig, UnitRun,
+    resume_unit, run_unit, run_unit_checkpointed, run_unit_faulty, UnitConfig, UnitRun,
 };
 use ring_sim::{FaultPlan, Instance, SimError, Snapshot, TraceLevel};
 use ring_workloads::{catalog, random, section5::Section5, structured};
@@ -55,7 +54,8 @@ fn usage() -> ! {
          \x20   --workload concentrated|region|uniform  (default concentrated)\n\
          \x20   --m <ring size> --n <jobs> [--seed <s>] [--c <const>]\n\
          \x20   --threaded                    one OS thread per processor\n\
-         \x20   --par <shards>                arc-parallel engine on <shards> threads\n\
+         \x20   --par <shards>                accepted; the ring engine has one\n\
+         \x20                                 executor, so the output is the same\n\
          \x20   --observe                     emit per-step observability JSON\n\
          \x20   --faults <spec>               deterministic fault plan, entries\n\
          \x20                                 separated by ';':\n\
@@ -98,7 +98,7 @@ fn usage() -> ! {
          \x20   [--max-batch <j>] [--spacing <s>] [--seed <s>]\n\
          \x20   plus the `serve` service flags (--m --alg --epoch ...)\n\
          \x20 bench-service                   service throughput + tail latency\n\
-         \x20   [--json <path>] [--sizes 256,1024,4096] [--shards 8]\n\
+         \x20   [--json <path>] [--sizes 256,1024,4096]\n\
          \x20   [--check <baseline.json>]\n\
          \x20 compete                         competitive ratios vs exact optimum\n\
          \x20   [--case <id>]                 one adversarial-catalog case\n\
@@ -137,6 +137,18 @@ pub(crate) fn parse_flags(args: &[String]) -> HashMap<String, String> {
         i += 1;
     }
     flags
+}
+
+/// Validates `--par <shards>`. The ring engine has one executor
+/// (DESIGN.md §6), so a valid count changes nothing; the flag stays
+/// accepted for scripts that pass it.
+fn check_par_flag(flags: &HashMap<String, String>) {
+    if let Some(s) = flags.get("par") {
+        if s.parse::<usize>().is_err() {
+            eprintln!("--par must be a shard count");
+            usage()
+        }
+    }
 }
 
 pub(crate) fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> u64 {
@@ -264,18 +276,8 @@ fn cmd_run_arrivals(spec: &str, flags: &HashMap<String, String>) {
         inst.last_arrival(),
         cfg.name()
     );
-    let shards = flags.get("par").map(|s| {
-        let s: usize = s.parse().unwrap_or_else(|_| {
-            eprintln!("--par must be a shard count");
-            usage()
-        });
-        s.max(1)
-    });
-    let run = match shards {
-        Some(s) => run_dynamic_par(&inst, &cfg, s),
-        None => run_dynamic(&inst, &cfg),
-    }
-    .unwrap_or_else(|e| {
+    check_par_flag(flags);
+    let run = run_dynamic(&inst, &cfg).unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
         exit(1)
     });
@@ -338,13 +340,7 @@ fn cmd_run(flags: &HashMap<String, String>) {
         );
         println!("messages sent: {}", run.messages_sent);
     } else {
-        let shards = flags.get("par").map(|s| {
-            let s: usize = s.parse().unwrap_or_else(|_| {
-                eprintln!("--par must be a shard count");
-                usage()
-            });
-            s.max(1)
-        });
+        check_par_flag(flags);
         let run = if flags.contains_key("checkpoint-every") {
             let every = get_u64(flags, "checkpoint-every", 0);
             if every == 0 {
@@ -370,17 +366,15 @@ fn cmd_run(flags: &HashMap<String, String>) {
             );
             println!("checkpointing every {every} steps into {}/", dir.display());
             let out = dir.clone();
-            run_unit_checkpointed(&inst, &cfg, faults.as_ref(), shards, every, &meta, {
+            run_unit_checkpointed(&inst, &cfg, faults.as_ref(), None, every, &meta, {
                 move |snap: &Snapshot| {
                     snap.write_to_file(&out.join(format!("snap-{:010}.ringsnap", snap.t)))
                 }
             })
         } else {
-            match (shards, &faults) {
-                (Some(s), Some(p)) => run_unit_par_faulty(&inst, &cfg, p, s),
-                (Some(s), None) => run_unit_par(&inst, &cfg, s),
-                (None, Some(p)) => run_unit_faulty(&inst, &cfg, p),
-                (None, None) => run_unit(&inst, &cfg),
+            match &faults {
+                Some(p) => run_unit_faulty(&inst, &cfg, p),
+                None => run_unit(&inst, &cfg),
             }
         }
         .unwrap_or_else(|e| {
@@ -450,14 +444,8 @@ fn cmd_resume(path: &str, flags: &HashMap<String, String>) {
     if let Some(bits) = c_bits {
         cfg = cfg.with_c(f64::from_bits(bits));
     }
-    let shards = flags.get("par").map(|s| {
-        let s: usize = s.parse().unwrap_or_else(|_| {
-            eprintln!("--par must be a shard count");
-            usage()
-        });
-        s.max(1)
-    });
-    let run: UnitRun = resume_unit(&cfg, &snap, shards).unwrap_or_else(|e: SimError| {
+    check_par_flag(flags);
+    let run: UnitRun = resume_unit(&cfg, &snap, None).unwrap_or_else(|e: SimError| {
         eprintln!("resume failed: {e}");
         exit(1)
     });

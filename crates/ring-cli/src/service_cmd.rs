@@ -11,8 +11,7 @@
 use crate::bench::{check_speedups, speedups_json, SpeedupRecord};
 use ring_sched::dynamic::parse_arrivals;
 use ring_service::{
-    run_loadgen, ExecutorMode, LoadMode, LoadgenConfig, LoadgenReport, Outcome, Service,
-    ServiceConfig,
+    run_loadgen, LoadMode, LoadgenConfig, LoadgenReport, Outcome, Service, ServiceConfig,
 };
 use ring_sim::Snapshot;
 use std::collections::HashMap;
@@ -31,9 +30,9 @@ fn service_config(flags: &HashMap<String, String>) -> ServiceConfig {
     if flags.contains_key("slo") {
         cfg = cfg.with_slo_horizon(crate::get_u64(flags, "slo", u64::MAX));
     }
-    // The default is the sequential executor (the measured best at every
-    // size benched); `--par <n>` runs n shards, `--par seq` states the
-    // default.
+    // `--par <n>` still selects `ExecutorMode::Parallel`, which runs the
+    // same engine loop as the default (DESIGN.md §6); `--par seq` states
+    // the default.
     match flags.get("par").map(String::as_str) {
         None | Some("seq") | Some("0") => {}
         Some(_) => cfg = cfg.with_shards(crate::get_u64(flags, "par", 8).max(1) as usize),
@@ -254,19 +253,14 @@ fn bench_load(m: usize) -> (ServiceConfig, LoadgenConfig) {
     (cfg, load)
 }
 
-fn service_bench_cell(m: usize, mode: ExecutorMode, label: &str) -> ServiceBenchRecord {
+fn service_bench_cell(m: usize) -> ServiceBenchRecord {
     let (cfg, load) = bench_load(m);
-    let cfg = cfg.with_executor(mode);
-    let executor = match mode.shards_for() {
-        Some(s) => format!("par_run({s})"),
-        None => "run".to_string(),
-    };
     let out: LoadgenReport = run_loadgen(cfg, &load);
     let r = &out.service;
     ServiceBenchRecord {
-        key: format!("service-m{m}-{label}"),
+        key: format!("service-m{m}-run"),
         m,
-        executor,
+        executor: "run".to_string(),
         submitted: r.submitted_jobs,
         completed: r.completed_jobs,
         shed: r.shed_jobs(),
@@ -281,7 +275,7 @@ fn service_bench_cell(m: usize, mode: ExecutorMode, label: &str) -> ServiceBench
 
 /// Entry point for `ringsched bench-service`.
 ///
-/// Flags: `--json <path>`, `--sizes 256,1024,4096`, `--shards <n>`,
+/// Flags: `--json <path>`, `--sizes 256,1024,4096`,
 /// `--check <baseline.json>`. The `"speedups"` ratios are *deterministic*
 /// (tail-latency spread p99/p50 and completion fraction under the fixed
 /// seeded overload), so the CI check regresses scheduling behaviour, not
@@ -299,18 +293,12 @@ pub fn cmd_bench_service(flags: &HashMap<String, String>) {
             })
         })
         .collect();
-    let shards = crate::get_u64(flags, "shards", 8).max(2) as usize;
 
     let mut results = Vec::new();
     let mut speedups = Vec::new();
     for &m in &sizes {
         eprintln!("benchmarking service on m={m}...");
-        let seq = service_bench_cell(m, ExecutorMode::Sequential, "run");
-        let par = service_bench_cell(m, ExecutorMode::Parallel(shards), "par");
-        assert_eq!(
-            seq.digest, par.digest,
-            "executor choice changed the m={m} completion log"
-        );
+        let seq = service_bench_cell(m);
         speedups.push(SpeedupRecord {
             key: format!("service-m{m}-tail-spread"),
             ratio: seq.p99 as f64 / seq.p50.max(1) as f64,
@@ -320,7 +308,6 @@ pub fn cmd_bench_service(flags: &HashMap<String, String>) {
             ratio: seq.completed as f64 / seq.submitted.max(1) as f64,
         });
         results.push(seq);
-        results.push(par);
     }
 
     println!(

@@ -11,7 +11,7 @@
 //! so regression tests can pin a whole table to one `u64`.
 
 use ring_opt::{competitive_ratio, offline_optimum, OfflineOptimum, Release, SolverBudget};
-use ring_sched::dynamic::{run_dynamic, run_dynamic_par, Arrival, DynamicInstance};
+use ring_sched::dynamic::{run_dynamic, Arrival, DynamicInstance};
 use ring_sched::online::{run_online, OnlinePolicy};
 use ring_sched::UnitConfig;
 
@@ -152,9 +152,8 @@ impl CaseRatio {
 
 /// Runs `policy` on `script` and measures it against the offline optimum.
 ///
-/// `shards` routes engine policies through the arc-parallel executor
-/// (`run_dynamic_par`, bit-identical to the sequential engine); it is
-/// irrelevant for assignment policies. The online makespan is handed to
+/// `_shards` is ignored: the ring engine has one executor
+/// (`ring_sim::Engine::par_run`). The online makespan is handed to
 /// the offline solver as its upper hint, so the exact search never scans
 /// past what the online run already achieved.
 ///
@@ -164,15 +163,12 @@ impl CaseRatio {
 /// impossible for finite scripts within the engine's widened budget) or if
 /// an online run undercuts its own certified lower bound, which would be a
 /// soundness bug worth crashing on.
-pub fn measure(script: &Script, policy: &Policy, shards: Option<usize>) -> CaseRatio {
+pub fn measure(script: &Script, policy: &Policy, _shards: Option<usize>) -> CaseRatio {
     let online = match policy {
         Policy::Engine(cfg) => {
             let inst = script.dynamic();
-            let run = match shards {
-                Some(s) => run_dynamic_par(&inst, cfg, s),
-                None => run_dynamic(&inst, cfg),
-            };
-            run.unwrap_or_else(|e| panic!("{}/{}: engine error {e:?}", script.name, policy.name()))
+            run_dynamic(&inst, cfg)
+                .unwrap_or_else(|e| panic!("{}/{}: engine error {e:?}", script.name, policy.name()))
                 .makespan
         }
         Policy::Assignment(p) => run_online(script.m, &script.arrivals, p).makespan,

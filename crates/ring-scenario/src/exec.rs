@@ -2,8 +2,9 @@
 //! report the CLI and the conformance suite consume directly.
 //!
 //! Run-mode plans resolve to a list of `(case, instance)` pairs times a
-//! list of algorithms; each cell runs through the executor the plan names
-//! and yields one [`PlanRow`] (with a [`TraceFile`] when tracing is on).
+//! list of algorithms; each cell runs through the ring engine (a fabric
+//! plan through the executor it names) and yields one [`PlanRow`] (with a
+//! [`TraceFile`] when tracing is on).
 //! Compete-mode plans resolve to compete-harness scripts and yield
 //! [`CaseRatio`] rows plus the harness digest. The report digest covers
 //! only case/algorithm/makespan triples — never executor choice — so the
@@ -12,8 +13,8 @@
 
 use crate::plan::{AlgSelect, CatalogSel, ExecMode, Mode, Plan, ShapeKind, TopoKind, Workload};
 use ring_compete::{measure, measure_suite, policy_by_name, report_digest, CaseRatio};
-use ring_sched::dynamic::{run_dynamic, run_dynamic_par, DynamicInstance};
-use ring_sched::unit::{run_unit, run_unit_faulty, run_unit_par, run_unit_par_faulty};
+use ring_sched::dynamic::{run_dynamic, DynamicInstance};
+use ring_sched::unit::{run_unit, run_unit_faulty};
 use ring_sched::{run_fabric, FabricAlgo, UnitConfig};
 use ring_sim::engine::RunReport;
 use ring_sim::{AnyTopology, EngineConfig, Instance, Topology, TraceFile, TraceLevel};
@@ -129,23 +130,18 @@ fn resolve_algorithms(plan: &Plan) -> Result<Vec<(String, UnitConfig)>, String> 
     }
 }
 
-/// Applies the plan's trace and executor knobs to an algorithm config.
+/// Applies the plan's trace and compression knobs to an algorithm config.
+/// The ring engine has one executor, so `mode`, `shards` and the pool keys
+/// (`window`, `rebalance`, `tasks-per-shard`, `steal-seed`, `threads`)
+/// change nothing on a ring; they still parse, and a fabric plan passes
+/// `mode`, `shards` and `steal-seed` to the fabric's pool.
 fn apply_executor(plan: &Plan, mut cfg: UnitConfig) -> UnitConfig {
     if plan.trace_full {
         cfg = cfg.with_trace();
     }
-    let ex = &plan.executor;
-    if ex.compress {
+    if plan.executor.compress {
         cfg = cfg.with_compress();
     }
-    if let Some(w) = ex.window {
-        cfg = cfg.with_window(w);
-    }
-    // The grammar admits these keys under `mode = steal` only; elsewhere
-    // they are `None` and the executor's defaults apply.
-    cfg.par.tasks_per_shard = ex.tasks_per_shard;
-    cfg.par.steal_seed = ex.steal_seed;
-    cfg.par.threads = ex.threads;
     cfg
 }
 
@@ -161,16 +157,13 @@ fn capture_trace(plan: &Plan, report: &RunReport, meta: &str) -> Option<TraceFil
 fn run_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
     let instances = resolve_instances(plan)?;
     let algorithms = resolve_algorithms(plan)?;
-    let shards = plan.executor.shards.unwrap_or(DEFAULT_SHARDS);
     let mut rows = Vec::with_capacity(instances.len() * algorithms.len());
     for (case, inst) in &instances {
         for (alg, base_cfg) in &algorithms {
             let cfg = apply_executor(plan, *base_cfg);
-            let run = match (plan.executor.mode, &plan.faults) {
-                (ExecMode::Run, None) => run_unit(inst, &cfg),
-                (ExecMode::Run, Some(f)) => run_unit_faulty(inst, &cfg, f),
-                (_, None) => run_unit_par(inst, &cfg, shards),
-                (_, Some(f)) => run_unit_par_faulty(inst, &cfg, f, shards),
+            let run = match &plan.faults {
+                None => run_unit(inst, &cfg),
+                Some(f) => run_unit_faulty(inst, &cfg, f),
             }
             .map_err(|e| format!("{case}/{alg}: {e}"))?;
             let meta = format!("{}/{case}/{alg}", plan.name);
@@ -265,11 +258,7 @@ fn run_arrivals(plan: &Plan) -> Result<Vec<PlanRow>, String> {
     let mut rows = Vec::with_capacity(algorithms.len());
     for (alg, base_cfg) in &algorithms {
         let cfg = apply_executor(plan, *base_cfg);
-        let run = match plan.executor.mode {
-            ExecMode::Run => run_dynamic(&inst, &cfg),
-            _ => run_dynamic_par(&inst, &cfg, plan.executor.shards.unwrap_or(DEFAULT_SHARDS)),
-        }
-        .map_err(|e| format!("{case}/{alg}: {e}"))?;
+        let run = run_dynamic(&inst, &cfg).map_err(|e| format!("{case}/{alg}: {e}"))?;
         let meta = format!("{}/{case}/{alg}", plan.name);
         rows.push(PlanRow {
             case: case.clone(),

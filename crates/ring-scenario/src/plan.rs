@@ -166,11 +166,12 @@ pub enum ExecMode {
     /// The sequential reference executor (the default).
     #[default]
     Run,
-    /// The parallel executor with its default pool knobs.
+    /// `par_run`: on a ring the same engine loop as `run` (the ring engine
+    /// has one executor), on a fabric plan the fabric's round pool.
     Par,
-    /// The same parallel executor; this mode is what lets a plan state
-    /// `tasks-per-shard`, `steal-seed`, `threads` (and the inert
-    /// `rebalance`).
+    /// As `Par`; this mode is what lets a plan state `tasks-per-shard`,
+    /// `steal-seed`, `threads` and `rebalance`, of which only `steal-seed`
+    /// reaches anything (the fabric's pool).
     Steal,
 }
 
@@ -194,18 +195,22 @@ pub struct ExecutorSpec {
     pub mode: ExecMode,
     /// Shard count for par/steal (`None` = 4).
     pub shards: Option<usize>,
-    /// Locality window (`u64::MAX` renders as `L`).
+    /// Parsed and rendered (`u64::MAX` as `L`), otherwise ignored since the
+    /// ring task pool went; removed with the next `benchmark` PR.
     pub window: Option<u64>,
     /// Quiescent-span step compression.
     pub compress: bool,
     /// Parsed and rendered, otherwise ignored since PR 15; removed with
     /// the next `benchmark` PR.
     pub rebalance: Option<bool>,
-    /// Stealing granularity (steal only).
+    /// Steal only; parsed and rendered, otherwise ignored since the ring
+    /// task pool went; removed with the next `benchmark` PR.
     pub tasks_per_shard: Option<usize>,
-    /// Steal-order perturbation seed (steal only).
+    /// Steal-order perturbation seed of the fabric's pool (steal only;
+    /// ignored on rings).
     pub steal_seed: Option<u64>,
-    /// Forced worker-thread count (steal only).
+    /// Steal only; parsed and rendered, otherwise ignored since the ring
+    /// task pool went; removed with the next `benchmark` PR.
     pub threads: Option<usize>,
 }
 

@@ -411,21 +411,19 @@ pub fn run_dynamic(instance: &DynamicInstance, cfg: &UnitConfig) -> Result<Dynam
     })
 }
 
-/// Runs a unit-job bucket algorithm on a dynamic instance through the
-/// arc-parallel engine (bit-identical to [`run_dynamic`], like
-/// `run_unit_par` is to `run_unit`).
+/// [`run_dynamic`], under the name callers that ask for threads use: the
+/// ring engine has one executor ([`ring_sim::Engine::par_run`]).
+///
+/// # Panics
+///
+/// Panics if `shards == 0`.
 pub fn run_dynamic_par(
     instance: &DynamicInstance,
     cfg: &UnitConfig,
     shards: usize,
 ) -> Result<DynamicRun, SimError> {
-    let mut engine = dynamic_engine(instance, cfg);
-    let report = engine.par_run(shards)?;
-    Ok(DynamicRun {
-        makespan: report.makespan,
-        lower_bound: instance.lower_bound(),
-        report,
-    })
+    assert!(shards > 0, "need at least one shard");
+    run_dynamic(instance, cfg)
 }
 
 #[cfg(test)]

@@ -120,13 +120,11 @@ pub struct UnitConfig {
     /// ([`EngineConfig::compress`] — bit-identical results, fewer engine
     /// rounds on drain-dominated instances).
     pub compress: bool,
-    /// Locality-window override for the parallel executor
-    /// ([`EngineConfig::window`] — bit-identical results for every value;
-    /// `None` is the engine default).
+    /// Inert: the ring engine has one executor and reads no window.
+    /// Removed with the next `benchmark` PR, which is the last user.
     pub window: Option<u64>,
-    /// Parallel-executor scheduling knobs ([`EngineConfig::par`] — task
-    /// granularity, steal seed, pool size; bit-identical results for
-    /// every setting).
+    /// Inert for the same reason as `window` ([`EngineConfig::par`] tunes
+    /// only the fabric's pool). Removed with the next `benchmark` PR.
     pub par: ParConfig,
 }
 
@@ -237,9 +235,8 @@ impl UnitConfig {
         self
     }
 
-    /// Returns the same configuration with an explicit locality window for
-    /// the arc-parallel executor (`u64::MAX` means "as large as the
-    /// shortest arc").
+    /// Sets the inert [`UnitConfig::window`]; removed with the next
+    /// `benchmark` PR.
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = Some(window);
         self
@@ -626,21 +623,6 @@ pub fn run_unit(instance: &Instance, cfg: &UnitConfig) -> Result<UnitRun, SimErr
     Ok(finish_unit_run(engine, report))
 }
 
-/// Runs one of the six unit-job algorithms through the arc-parallel engine.
-///
-/// The ring is split into `shards` contiguous arcs stepped on scoped
-/// threads ([`Engine::par_run`]); the resulting [`UnitRun`] is bit-for-bit
-/// identical to [`run_unit`]'s on the same instance and config.
-pub fn run_unit_par(
-    instance: &Instance,
-    cfg: &UnitConfig,
-    shards: usize,
-) -> Result<UnitRun, SimError> {
-    let mut engine = unit_engine(instance, cfg, None);
-    let report = engine.par_run(shards)?;
-    Ok(finish_unit_run(engine, report))
-}
-
 /// Runs one of the six unit-job algorithms under a deterministic fault
 /// plan: downed/delayed/capped links hold buckets back (the engine re-sends
 /// them as the fault allows) and stalled processors defer both their
@@ -657,29 +639,16 @@ pub fn run_unit_faulty(
     Ok(finish_unit_run(engine, report))
 }
 
-/// [`run_unit_faulty`] through the arc-parallel engine — bit-for-bit
-/// identical to the sequential run on the same instance, config, and plan.
-pub fn run_unit_par_faulty(
-    instance: &Instance,
-    cfg: &UnitConfig,
-    plan: &FaultPlan,
-    shards: usize,
-) -> Result<UnitRun, SimError> {
-    let mut engine = unit_engine(instance, cfg, Some(plan.clone()));
-    let report = engine.par_run(shards)?;
-    Ok(finish_unit_run(engine, report))
-}
-
 /// Runs a unit-job algorithm with snapshotting: `sink` receives a
 /// [`Snapshot`] at every `every`-step boundary (the CLI writes them to
-/// disk). `shards` of `None` runs the sequential engine, `Some(s)` the
-/// arc-parallel one — the snapshots and the final [`UnitRun`] are
-/// bit-identical either way, and identical to the uncheckpointed run.
+/// disk). The snapshots and the final [`UnitRun`] are identical to the
+/// uncheckpointed run's. `_shards` is ignored — the ring engine has one
+/// executor ([`Engine::par_run`]) — and goes with the next `benchmark` PR.
 pub fn run_unit_checkpointed<F>(
     instance: &Instance,
     cfg: &UnitConfig,
     plan: Option<&FaultPlan>,
-    shards: Option<usize>,
+    _shards: Option<usize>,
     every: u64,
     meta: &str,
     sink: F,
@@ -694,18 +663,13 @@ where
         observe: cfg.observe,
         faults: plan.cloned(),
         compress: cfg.compress,
-        window: cfg.window,
-        par: cfg.par,
         checkpoint_meta: meta.to_string(),
         ..EngineConfig::default()
     }
     .checkpoint_every(every);
     let mut engine = Engine::new(nodes, instance.total_work(), engine_cfg);
     engine.on_checkpoint(sink);
-    let report = match shards {
-        Some(s) => engine.par_run(s)?,
-        None => engine.run()?,
-    };
+    let report = engine.run()?;
     Ok(finish_unit_run(engine, report))
 }
 
@@ -716,12 +680,12 @@ where
 /// the interrupted run had computed (node state, in-flight messages, the
 /// fault plan with its staged queues, metrics, trace, observability) is
 /// restored from the snapshot. The completed [`UnitRun`] is bit-for-bit
-/// identical to the uninterrupted run's, whatever `shards` is here or was
-/// at save time.
+/// identical to the uninterrupted run's. `_shards` is ignored, as in
+/// [`run_unit_checkpointed`].
 pub fn resume_unit(
     cfg: &UnitConfig,
     snap: &Snapshot,
-    shards: Option<usize>,
+    _shards: Option<usize>,
 ) -> Result<UnitRun, SimError> {
     // Initial loads only seed node state, which the snapshot overwrites;
     // the ring size is taken from the snapshot itself.
@@ -731,8 +695,6 @@ pub fn resume_unit(
         trace: cfg.trace,
         observe: cfg.observe,
         compress: cfg.compress,
-        window: cfg.window,
-        par: cfg.par,
         ..EngineConfig::default()
     };
     let mut engine =
@@ -740,10 +702,7 @@ pub fn resume_unit(
             step: snap.t,
             error,
         })?;
-    let report = match shards {
-        Some(s) => engine.par_run(s)?,
-        None => engine.run()?,
-    };
+    let report = engine.run()?;
     Ok(finish_unit_run(engine, report))
 }
 
@@ -759,8 +718,6 @@ fn unit_engine(
         observe: cfg.observe,
         faults,
         compress: cfg.compress,
-        window: cfg.window,
-        par: cfg.par,
         ..EngineConfig::default()
     };
     Engine::new(nodes, instance.total_work(), engine_cfg)

@@ -25,7 +25,7 @@
 //! The ring runs as a sequence of engine *generations*, one per busy
 //! period. A generation starts at the boundary that admits work into an
 //! idle ring (`virtual = base + engine step`), is advanced one epoch at a
-//! time with [`ring_sim::Engine::run_span`] / `par_run_span`, and is
+//! time with [`ring_sim::Engine::run_span`], and is
 //! dropped when its engine reports completion. Admitted batches are
 //! injected at the paused boundary via [`DynamicNode::inject`] +
 //! [`ring_sim::Engine::add_work`].
@@ -136,10 +136,6 @@ struct Submission {
 
 struct Shared {
     cfg: ServiceConfig,
-    /// Shard count the executor mode resolved to at boot (`None` =
-    /// sequential), so every generation of this service runs the same
-    /// executor.
-    shards: Option<usize>,
     /// Last processed epoch boundary.
     now: u64,
     clients: Vec<ClientState>,
@@ -183,7 +179,6 @@ impl Shared {
                     closed: false,
                 })
                 .collect(),
-            shards: cfg.executor.shards_for(),
             cfg,
             now,
             pending: Vec::new(),
@@ -290,11 +285,10 @@ impl Shared {
         if let Some(gen) = self.gen.as_mut() {
             let pause_at = b - gen.base;
             let before = gen.engine.t();
-            let outcome = match self.shards {
-                Some(s) => gen.engine.par_run_span(pause_at, s),
-                None => gen.engine.run_span(pause_at),
-            }
-            .expect("generation engines run without faults or step budgets");
+            let outcome = gen
+                .engine
+                .run_span(pause_at)
+                .expect("generation engines run without faults or step budgets");
             let processed = match &outcome {
                 SpanOutcome::Paused { t, processed } => {
                     rounds_here = t - before;

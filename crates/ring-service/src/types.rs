@@ -5,19 +5,16 @@ use ring_sched::unit::UnitConfig;
 
 /// How service generations advance the ring each epoch.
 ///
-/// The parallel executor is bit-identical to the sequential one but pays
-/// per-window shard coordination, and since the sequential span steps an
-/// active-node frontier there is no idle sweep left for it to win back.
-/// `ringsched bench-service --sizes 256,4096` (2 cores, three runs,
-/// completed jobs per wall second): m = 256 `run` 2.2–4.7 M vs
-/// `par_run(8)` 0.62–0.77 M; m = 4096 `run` 7.6–8.9 M vs `par_run(8)`
-/// 2.2–2.6 M and `par_run(2)` 2.3–3.5 M. `run` wins every cell, so it is
-/// the default.
+/// Both modes run [`ring_sim::Engine::run_span`]: the ring engine has one
+/// executor, because a round does too little work to pay for
+/// synchronizing threads (DESIGN.md §6). `Parallel` is kept so callers
+/// that name a shard count still build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorMode {
     /// [`ring_sim::Engine::run_span`] (the default).
     Sequential,
-    /// `par_run_span` on this many shards (must be > 0).
+    /// [`ring_sim::Engine::par_run_span`], which is `run_span` under
+    /// another name; the shard count must be > 0 and changes nothing else.
     Parallel(usize),
 }
 
@@ -107,8 +104,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Runs generations on the parallel executor (shorthand for
-    /// `with_executor(ExecutorMode::Parallel(shards))`).
+    /// Shorthand for `with_executor(ExecutorMode::Parallel(shards))`, which
+    /// runs the same engine loop as the default.
     ///
     /// # Panics
     ///

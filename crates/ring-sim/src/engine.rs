@@ -29,16 +29,13 @@
 //! without allocating: all vectors retain their high-water-mark capacity and
 //! the buffers swap roles at the end of each round.
 //!
-//! ## Executors
+//! ## Executor
 //!
 //! [`Engine::run`] steps the nodes that have mail, hold work or have not
 //! promised to be inert — its active-node frontier — in index order on one
-//! thread, so a round costs O(active), not O(m).
-//! [`Engine::par_run`] cuts the ring into contiguous node-range tasks that
-//! a small worker pool advances window by window, exchanging only the
-//! per-round boundary messages; because delivery is round-delayed and each
-//! `next` vector has exactly one writer per round, the two produce
-//! bit-for-bit identical [`RunReport`]s.
+//! thread, so a round costs O(active), not O(m). [`Engine::par_run`] is the
+//! same loop: a round does too little work to pay for synchronizing threads
+//! (DESIGN.md §6).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -432,8 +429,7 @@ pub struct EngineConfig {
     pub observe: bool,
     /// Deterministic fault schedule (`None` injects nothing and keeps the
     /// zero-overhead fast path; `Some` of an empty plan takes the fault
-    /// path but produces bit-identical results to `None`). Honored
-    /// identically by [`Engine::run`] and [`Engine::par_run`].
+    /// path but produces bit-identical results to `None`).
     pub faults: Option<FaultPlan>,
     /// Quiescent-span step compression: when every node reports (via
     /// [`Node::quiescence`]) that its next state-changing event is `k ≥ 2`
@@ -442,9 +438,7 @@ pub struct EngineConfig {
     /// looping. Metrics, trace, and observability record the expanded
     /// per-step view, so the [`RunReport`] is bit-for-bit identical to the
     /// uncompressed run (asserted by the workspace's equivalence proptests).
-    /// Off by default. Honored by [`Engine::run`]; the parallel executor
-    /// accepts and ignores it (its asleep-task skip already makes a quiet
-    /// round O(tasks), and the report is the same either way).
+    /// Off by default.
     pub compress: bool,
     /// Snapshot cadence: request a checkpoint at every step boundary `t`
     /// divisible by this value (and after the resume point). Only effective
@@ -458,24 +452,16 @@ pub struct EngineConfig {
     /// The engine never interprets it; the CLI stores the flags needed to
     /// rebuild the policy nodes at resume time.
     pub checkpoint_meta: String,
-    /// Locality window for the parallel executor: how many rounds the task
-    /// pool advances between leader-run synchronization points. Within a
-    /// window, tasks exchange boundary messages through round-tagged halo
-    /// mailboxes (a neighbor handshake, no global barrier); completion,
-    /// errors, checkpoints and span pauses are all resolved at window
-    /// boundaries, which the engine aligns so the report stays bit-for-bit
-    /// identical to [`Engine::run`] for *every* window size. `None`
-    /// (default) is 64 rounds; `Some(u64::MAX)` means "as long as the
-    /// shortest task range"; every value is clamped to `1..=4096`. Ignored
-    /// by the sequential executor.
+    /// Inert: the ring engine has one executor and reads no window.
+    /// Removed with the next `benchmark` PR, which is the last user.
     pub window: Option<u64>,
-    /// Parallel-executor scheduling knobs — task granularity, steal seed,
-    /// pool size (see [`ParConfig`]). Ignored by the sequential executor.
+    /// The [`crate::Fabric`] round pool's knobs (see [`ParConfig`]); the
+    /// ring engine reads none of them.
     pub par: ParConfig,
 }
 
-/// Inert: [`Engine::par_run`] has one executor (DESIGN.md §6) and reads
-/// neither value. Kept only because `benchmark/` still names it.
+/// Inert: nothing reads it. Kept only because `benchmark/` still names
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParStrategy {
     /// Ignored since PR 15; removed with the next `benchmark` PR.
@@ -484,24 +470,25 @@ pub enum ParStrategy {
     Steal,
 }
 
-/// Tuning for the parallel executor. An unset field takes its built-in
-/// default; none of them can change a report byte.
+/// Tuning for [`crate::Fabric::par_run`]'s round pool. An unset field
+/// takes its built-in default; none of them can change a report byte. The
+/// ring engine reads none of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParConfig {
     /// Ignored since PR 15; removed with the next `benchmark` PR.
     pub strategy: Option<ParStrategy>,
     /// Ignored since PR 15; removed with the next `benchmark` PR.
     pub rebalance: Option<bool>,
-    /// Node-range tasks per shard; more tasks give finer stealing
-    /// granularity at slightly more handshake overhead. Defaults to 4.
+    /// Inert: nothing reads it since the ring task pool went; removed
+    /// with the next `benchmark` PR.
     pub tasks_per_shard: Option<usize>,
     /// Seed perturbing the steal order (which end of the task queue each
     /// worker pops). Reports are schedule-independent, so this is purely an
     /// adversarial-testing knob. Defaults to 0.
     pub steal_seed: Option<u64>,
-    /// Worker threads for one window's pool. Defaults to
-    /// `min(shards, tasks, available cores)` — tasks beyond the core count
-    /// only add scheduling churn, never throughput. Setting this forces a
+    /// Worker threads for one round's pool. Defaults to
+    /// `min(shards, available cores)` — workers beyond the core count only
+    /// add scheduling churn, never throughput. Setting this forces a
     /// count, which is how the equivalence batteries exercise
     /// oversubscribed interleavings on small runners; reports are
     /// schedule-independent either way.
@@ -509,17 +496,12 @@ pub struct ParConfig {
 }
 
 impl ParConfig {
-    /// Tasks per shard (default 4), clamped to `>= 1`.
-    pub fn resolved_tasks_per_shard(&self) -> usize {
-        self.tasks_per_shard.unwrap_or(4).max(1)
-    }
-
     /// Steal-order seed (default 0).
     pub fn resolved_steal_seed(&self) -> u64 {
         self.steal_seed.unwrap_or(0)
     }
 
-    /// Worker-thread cap for one window's pool, clamped to `>= 1`; `None`
+    /// Worker-thread cap for one round's pool, clamped to `>= 1`; `None`
     /// means "fit the machine" (cap at the available cores).
     pub fn resolved_threads(&self) -> Option<usize> {
         self.threads.map(|n| n.max(1))
@@ -660,9 +642,9 @@ pub(crate) struct LinkDeparture {
 /// bandwidth cap (head-of-line blocking keeps FIFO order), and everything
 /// still eligible but held back is counted as dropped or delayed.
 ///
-/// Pure in `(plan, node, dir, t)` and the queue state, so both executors
-/// evaluate it identically. With no active fault this moves every staged
-/// message straight through — bit-identical to the un-faulted engine.
+/// Pure in `(plan, node, dir, t)` and the queue state. With no active
+/// fault this moves every staged message straight through — bit-identical
+/// to the un-faulted engine.
 pub(crate) fn transmit<M: Payload>(
     plan: &FaultPlan,
     node: usize,
@@ -722,7 +704,6 @@ pub(crate) fn transmit<M: Payload>(
 
 /// Steps one node over the given buffers and enforces the per-node model
 /// rules (unit speed, link capacity), leaving the inbox buffers empty.
-/// Shared verbatim by both executors so they cannot drift.
 #[allow(clippy::too_many_arguments)] // four directed buffers + ctx is the natural shape
 fn drive_node<N: Node>(
     node: &mut N,
@@ -792,8 +773,7 @@ struct FaultLinks<'a, M> {
 }
 
 /// Steps one node and drains its two directed links for one round — the
-/// single per-node kernel shared by [`Engine::run`] and the parallel
-/// executor.
+/// engine's per-node kernel.
 ///
 /// Without fault state the node writes straight into the destination
 /// arenas and the departures mirror its outbox meters; with fault state the
@@ -874,11 +854,11 @@ fn step_node_and_links<N: Node>(
     }
 }
 
-/// Collects the quiescence declarations of a contiguous run of nodes into
-/// `backlogs` (cleared first; one entry per node). Returns
-/// `(min_span, max_backlog)`, or `None` if any node declines or reports a
-/// zero span — in which case `backlogs` is meaningless.
-fn arc_quiescence<N: Node>(nodes: &[N], now: u64, backlogs: &mut Vec<u64>) -> Option<(u64, u64)> {
+/// Collects the quiescence declarations of every node into `backlogs`
+/// (cleared first; one entry per node). Returns `(min_span, max_backlog)`,
+/// or `None` if any node declines or reports a zero span — in which case
+/// `backlogs` is meaningless.
+fn ring_quiescence<N: Node>(nodes: &[N], now: u64, backlogs: &mut Vec<u64>) -> Option<(u64, u64)> {
     backlogs.clear();
     let mut min_span = u64::MAX;
     let mut max_backlog = 0u64;
@@ -912,18 +892,12 @@ fn compression_k(min_span: u64, max_backlog: u64, budget: u64) -> Option<u64> {
 /// round-major, node-ascending — exactly the per-round loop's order (quiet
 /// rounds carry no sends or drop-offs). Output-sensitive: total work is
 /// O(events emitted).
-fn synthesize_quiet_trace(
-    t0: u64,
-    k: u64,
-    node_base: usize,
-    backlogs: &[u64],
-    mut emit: impl FnMut(Event),
-) {
+fn synthesize_quiet_trace(t0: u64, k: u64, backlogs: &[u64], mut emit: impl FnMut(Event)) {
     let mut active: Vec<(usize, u64)> = backlogs
         .iter()
         .enumerate()
         .filter(|&(_, &b)| b > 0)
-        .map(|(i, &b)| (node_base + i, b.min(k)))
+        .map(|(i, &b)| (i, b.min(k)))
         .collect();
     for j in 0..k {
         if active.is_empty() {
@@ -1002,7 +976,7 @@ fn synthesize_quiet_samples(
 /// `Frontier::parked_at` value of a node that is on the frontier.
 const AWAKE: u64 = u64::MAX;
 
-/// The sequential executor's active-node frontier: the nodes a round has to
+/// The executor's active-node frontier: the nodes a round has to
 /// step. A node leaves it by *parking* — after a step it promises, through
 /// [`Node::quiescence`], that while its inboxes stay empty it will only
 /// drain its `backlog`, one unit per round (`span ≥ 1`) — and comes back
@@ -1018,8 +992,8 @@ const AWAKE: u64 = u64::MAX;
 /// count at its drain end, without touching the node.
 #[derive(Default)]
 struct Frontier {
-    /// Nodes stepped this round, ascending — the order the trace, the
-    /// oracle and the arc merge rely on.
+    /// Nodes stepped this round, ascending — the order the trace and the
+    /// oracle rely on.
     active: Vec<u32>,
     /// Nodes listed for the next round, in listing order.
     next: Vec<u32>,
@@ -1189,19 +1163,19 @@ impl Frontier {
     }
 }
 
-/// Buffers the sequential executor hands back at a pause so the next span
+/// Buffers the executor hands back at a pause so the next span
 /// reuses them instead of reallocating: the `next` arenas (empty at every
 /// step boundary, inner capacities kept) and the frontier's vectors. It
 /// carries capacity, never state — every span re-seeds the frontier.
-struct SeqScratch<M> {
+struct Scratch<M> {
     next_cw: Vec<Vec<M>>,
     next_ccw: Vec<Vec<M>>,
     frontier: Frontier,
 }
 
-impl<M> Default for SeqScratch<M> {
+impl<M> Default for Scratch<M> {
     fn default() -> Self {
-        SeqScratch {
+        Scratch {
             next_cw: Vec::new(),
             next_ccw: Vec::new(),
             frontier: Frontier::default(),
@@ -1221,8 +1195,7 @@ struct CheckpointHook<M> {
 }
 
 /// Mid-run state decoded from a [`Snapshot`], consumed by the next
-/// [`Engine::run`] / [`Engine::par_run`] call in place of the fresh-start
-/// initialization.
+/// [`Engine::run`] call in place of the fresh-start initialization.
 struct ResumeState<M> {
     t0: u64,
     prev_round_departed: u64,
@@ -1233,9 +1206,8 @@ struct ResumeState<M> {
     metrics: Metrics,
     trace: Trace,
     obs: Option<Observability>,
-    /// Boxed to keep a pause small; `None` from everything but a
-    /// sequential pause.
-    scratch: Option<Box<SeqScratch<M>>>,
+    /// Boxed to keep a pause small; `None` after [`Engine::resume`].
+    scratch: Option<Box<Scratch<M>>>,
 }
 
 /// The synchronous executor.
@@ -1276,12 +1248,10 @@ impl<N: Node> Engine<N> {
     }
 
     /// Installs a checkpoint sink. Together with
-    /// [`EngineConfig::checkpoint_every`], this makes [`Engine::run`] and
-    /// [`Engine::par_run`] hand a canonical [`Snapshot`] to `sink` at every
-    /// cadence boundary; a sink error aborts the run with
-    /// [`SimError::Checkpoint`] rather than continue past a missing
-    /// snapshot. Both executors produce byte-identical snapshots at the same
-    /// boundary, whatever the shard count.
+    /// [`EngineConfig::checkpoint_every`], this makes [`Engine::run`] hand a
+    /// canonical [`Snapshot`] to `sink` at every cadence boundary; a sink
+    /// error aborts the run with [`SimError::Checkpoint`] rather than
+    /// continue past a missing snapshot.
     pub fn on_checkpoint<F>(&mut self, sink: F) -> &mut Self
     where
         N::Msg: Persist,
@@ -1308,10 +1278,9 @@ impl<N: Node> Engine<N> {
     /// executor-only choices (`max_steps`, `compress`, `link_capacity`,
     /// `checkpoint_every`) stay with the caller.
     ///
-    /// The subsequent [`Engine::run`] or [`Engine::par_run`] (any shard
-    /// count, independent of the saving run's) continues from step
-    /// [`Snapshot::t`] and returns a [`RunReport`] **bit-for-bit identical**
-    /// to the uninterrupted run's.
+    /// The subsequent [`Engine::run`] continues from step [`Snapshot::t`]
+    /// and returns a [`RunReport`] **bit-for-bit identical** to the
+    /// uninterrupted run's.
     pub fn resume(
         nodes: Vec<N>,
         config: EngineConfig,
@@ -1626,8 +1595,7 @@ impl<N: Node> Engine<N> {
         self.run_bounded(Some(pause_at))
     }
 
-    /// The sequential executor behind [`Engine::run`] and
-    /// [`Engine::run_span`].
+    /// The executor behind [`Engine::run`] and [`Engine::run_span`].
     ///
     /// A round steps the [`Frontier`], not the ring: a node that promises
     /// (`quiescence(t + 1)` with `span ≥ 1`) to do nothing on empty inboxes
@@ -1707,7 +1675,7 @@ impl<N: Node> Engine<N> {
                 None,
             ),
         };
-        let SeqScratch {
+        let Scratch {
             mut next_cw,
             mut next_ccw,
             mut frontier,
@@ -1767,7 +1735,7 @@ impl<N: Node> Engine<N> {
                     metrics,
                     trace,
                     obs,
-                    scratch: Some(Box::new(SeqScratch {
+                    scratch: Some(Box::new(Scratch {
                         next_cw,
                         next_ccw,
                         frontier,
@@ -1837,12 +1805,12 @@ impl<N: Node> Engine<N> {
                     budget = budget.min(p - t);
                 }
                 frontier.settle_all(t, &mut self.nodes, &mut metrics);
-                if let Some(k) = arc_quiescence(&self.nodes, t, &mut quiet_backlogs)
+                if let Some(k) = ring_quiescence(&self.nodes, t, &mut quiet_backlogs)
                     .and_then(|(span, max_b)| compression_k(span, max_b, budget))
                 {
                     let max_b = quiet_backlogs.iter().copied().max().unwrap_or(0);
                     if record_audit {
-                        synthesize_quiet_trace(t, k, 0, &quiet_backlogs, |e| trace.record(e));
+                        synthesize_quiet_trace(t, k, &quiet_backlogs, |e| trace.record(e));
                     }
                     if let Some(o) = obs.as_mut() {
                         let p0: Vec<u64> = self.nodes.iter().map(|n| n.pending_work()).collect();
@@ -1982,7 +1950,7 @@ impl<N: Node> Engine<N> {
                 round_departed += dep_cw.messages + dep_ccw.messages;
 
                 // Per-cell event order: DroppedOff*, Processed, Sent cw,
-                // Sent ccw (the oracle and the arc merge rely on it).
+                // Sent ccw (the oracle relies on it).
                 for rec in audit_buf.drain(..) {
                     trace.record(Event::DroppedOff {
                         t,
@@ -2118,124 +2086,30 @@ impl<N: Node> Engine<N> {
         }
     }
 
-    /// Runs the simulation to completion on a pool of up to `shards` scoped
-    /// threads advancing `shards × tasks_per_shard` contiguous node-range
-    /// tasks (see [`ParConfig`]).
-    ///
-    /// The executor exploits ring locality: a message moves one hop per
-    /// round, so inside a *locality window* of `k` rounds (see
-    /// [`EngineConfig::window`]) a task only ever synchronizes with its two
-    /// neighbors, through round-tagged halo mailboxes carrying the boundary
-    /// send history — no global barrier; a task blocked on a neighbor is
-    /// requeued and the worker takes another. Between windows the calling
-    /// thread owns the whole ring and resolves completion, errors,
-    /// checkpoint snapshots, pauses and the step budget in the sequential
-    /// engine's order; windows are cut so each of those lands on a window
-    /// boundary, and rounds computed past a completion are rolled back.
-    /// Because message delivery is round-delayed, node evaluation order is
-    /// unobservable, and every arena slot still has exactly one writer per
-    /// round — so the result is **bit-for-bit identical** to
-    /// [`Engine::run`] for every window size, task granularity and steal
-    /// schedule: same [`RunReport`] (metrics, trace and observability
-    /// included), same error on invalid policies. The equivalence is
-    /// asserted across the paper's §6 algorithm catalog by the workspace's
-    /// property tests.
-    ///
-    /// `shards` is clamped to the ring size; `shards <= 1` delegates to
-    /// [`Engine::run`].
+    /// [`Engine::run`], under the name callers that ask for threads use.
+    /// The ring has one executor, the active-node frontier: a round of the
+    /// paper's model moves a few buckets and drains one job per loaded
+    /// node, which is too little work to pay for synchronizing threads
+    /// (DESIGN.md §6), so `shards` only has to be positive. The report,
+    /// the checkpoints and the errors are [`Engine::run`]'s.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn par_run(&mut self, shards: usize) -> Result<RunReport, SimError>
-    where
-        N: Send,
-        N::Msg: Send,
-    {
-        match self.par_run_bounded(None, shards)? {
-            SpanOutcome::Done(report) => Ok(*report),
-            SpanOutcome::Paused { .. } => unreachable!("unbounded run cannot pause"),
-        }
-    }
-
-    /// The parallel counterpart of [`Engine::run_span`]: advances the ring
-    /// on `shards` scoped threads until completion or step `pause_at`,
-    /// whichever comes first. Pausing, like checkpointing, happens at a
-    /// window boundary; the whole-ring state the leader holds there is
-    /// identical to what a sequential span leaves behind, so spans may
-    /// freely alternate executors and shard counts — the eventual report is
-    /// bit-for-bit identical regardless (asserted by the workspace's
-    /// span-equivalence proptests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn par_run_span(&mut self, pause_at: u64, shards: usize) -> Result<SpanOutcome, SimError>
-    where
-        N: Send,
-        N::Msg: Send,
-    {
-        if self.total_work == 0 {
-            return Ok(SpanOutcome::Done(Box::new(self.empty_report())));
-        }
-        if pause_at <= self.t() {
-            return Ok(SpanOutcome::Paused {
-                t: self.t(),
-                processed: self.processed(),
-            });
-        }
-        self.par_run_bounded(Some(pause_at), shards)
-    }
-
-    fn par_run_bounded(
-        &mut self,
-        pause_at: Option<u64>,
-        shards: usize,
-    ) -> Result<SpanOutcome, SimError>
-    where
-        N: Send,
-        N::Msg: Send,
-    {
+    pub fn par_run(&mut self, shards: usize) -> Result<RunReport, SimError> {
         assert!(shards > 0, "need at least one shard");
-        assert!(
-            !self.finished,
-            "engine already completed a run; construct a new one"
-        );
-        let m = self.topo.len();
-        let shards = shards.min(m);
-        if shards == 1 {
-            return self.run_bounded(pause_at);
-        }
-        if self.total_work == 0 {
-            return Ok(SpanOutcome::Done(Box::new(self.empty_report())));
-        }
-        let max_steps = self.max_steps();
-        let resume = self.resume.take();
+        self.run()
+    }
 
-        let sharded = par::run_stolen(
-            &mut self.nodes,
-            self.topo,
-            self.total_work,
-            max_steps,
-            &self.config,
-            shards,
-            resume,
-            self.checkpoint.as_mut(),
-            pause_at,
-        );
-        match sharded? {
-            par::Sharded::Done(report) => {
-                self.self_check(&report);
-                self.finished = true;
-                Ok(SpanOutcome::Done(Box::new(report)))
-            }
-            par::Sharded::Paused(state) => {
-                let t = state.t0;
-                let processed = state.metrics.total_processed();
-                self.resume = Some(state);
-                Ok(SpanOutcome::Paused { t, processed })
-            }
-        }
+    /// [`Engine::run_span`], under the name callers that ask for threads
+    /// use; see [`Engine::par_run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn par_run_span(&mut self, pause_at: u64, shards: usize) -> Result<SpanOutcome, SimError> {
+        assert!(shards > 0, "need at least one shard");
+        self.run_span(pause_at)
     }
 }
 
@@ -2252,10 +2126,7 @@ fn load_link_queue<M: Persist>(blobs: &[StagedBlob]) -> Result<LinkQueue<M>, Che
 }
 
 /// Serializes the complete engine state at a step boundary into a canonical
-/// [`Snapshot`]: the one `RINGSNAP` writer of the ring engine. The
-/// sequential executor calls it on its own loop state, the parallel
-/// leader on the whole-ring state it owns between windows (after merging
-/// the task partials), so both produce the same bytes.
+/// [`Snapshot`]: the one `RINGSNAP` writer of the ring engine.
 #[allow(clippy::too_many_arguments)]
 fn build_snapshot<N: Node>(
     save_msg: fn(&N::Msg, &mut Encoder),
@@ -2327,1460 +2198,6 @@ fn build_snapshot<N: Node>(
         queue_ccw: queues(queue_ccw),
         app_meta: app_meta.to_string(),
     })
-}
-
-/// The parallel executor internals.
-mod par {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Everything one task accumulates locally; merged deterministically
-    /// by the leader. `Clone` because a checkpoint boundary merges a copy
-    /// of the partials mid-run.
-    #[derive(Clone)]
-    struct ArcPartial {
-        lo: usize,
-        processed_per_node: Vec<u64>,
-        busy_steps_per_node: Vec<u64>,
-        messages_sent: u64,
-        job_hops: u64,
-        messages_dropped: u64,
-        messages_delayed: u64,
-        messages_retried: u64,
-        last_busy: Option<u64>,
-        /// Payload this arc put in flight in each round (for the global
-        /// per-round peak).
-        sent_payload_per_round: Vec<u64>,
-        events: Vec<Event>,
-        obs: Option<Observability>,
-    }
-
-    /// What `run_stolen` resolved to: a finished report, or — when a
-    /// `pause_at` boundary was reached first — the whole-ring mid-run image
-    /// the engine keeps for the next span (the same state a checkpoint at
-    /// that boundary would serialize).
-    pub(super) enum Sharded<M> {
-        Done(RunReport),
-        Paused(ResumeState<M>),
-    }
-
-    /// Error found by an arc, keyed for "first error wins" merging: the
-    /// sequential engine fails at the smallest `(step, node)` violation, so
-    /// the parallel one must too.
-    type Flagged = (u64, usize, SimError);
-
-    fn merge_flag(slot: &Mutex<Option<Flagged>>, cand: Flagged) {
-        let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
-        match slot.as_ref() {
-            Some((t, node, _)) if (*t, *node) <= (cand.0, cand.1) => {}
-            _ => *slot = Some(cand),
-        }
-    }
-
-    /// Pads its contents to a cache line so independently-written shared
-    /// counters (the halo round counters) do not false-share.
-    #[repr(align(64))]
-    struct CachePadded<T>(T);
-
-    /// One direction of one arc boundary: a round-tagged halo mailbox.
-    ///
-    /// The producer arc appends its boundary-crossing sends for round `t`
-    /// (when there are any) and then publishes `done = t + 1`; the consumer
-    /// polls (never blocks) until `done` covers the round it needs and
-    /// drains every entry tagged `<= t` into its inbox. Adjacent arcs are
-    /// mutually rate-limited through these counters — neither can start
-    /// round `t + 1` before the other has finished `t` — so the queue never
-    /// holds more than two undrained entries, and the `free` list recycles
-    /// their buffers to keep the steady state allocation-free. An arc that
-    /// stops mid-window (in-round error) publishes `u64::MAX` so neighbors
-    /// never block on it; whatever they compute past the error round is
-    /// discarded with the rest of the run at the window boundary.
-    struct Halo<M> {
-        done: CachePadded<AtomicU64>,
-        slots: Mutex<HaloSlots<M>>,
-    }
-
-    struct HaloSlots<M> {
-        queue: VecDeque<(u64, Vec<M>)>,
-        free: Vec<Vec<M>>,
-    }
-
-    impl<M> Halo<M> {
-        fn new(t0: u64) -> Self {
-            Halo {
-                done: CachePadded(AtomicU64::new(t0)),
-                slots: Mutex::new(HaloSlots {
-                    queue: VecDeque::new(),
-                    free: Vec::new(),
-                }),
-            }
-        }
-
-        /// Producer side: round `t` is complete; `out` held its boundary
-        /// sends (drained here, capacity kept).
-        fn publish(&self, t: u64, out: &mut Vec<M>) {
-            if !out.is_empty() {
-                let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-                let mut buf = slots.free.pop().unwrap_or_default();
-                buf.append(out);
-                slots.queue.push_back((t, buf));
-            }
-            self.done.0.store(t + 1, Ordering::Release);
-        }
-
-        /// Producer side: stop publishing without ever blocking the
-        /// consumer.
-        fn abandon(&self) {
-            self.done.0.store(u64::MAX, Ordering::Release);
-        }
-
-        /// Consumer side, non-blocking: has the producer finished round
-        /// `t`? An abandoned halo (`u64::MAX`) reads as ready so consumers
-        /// never wait on a failed producer.
-        fn ready(&self, t: u64) -> bool {
-            self.done.0.load(Ordering::Acquire) > t
-        }
-
-        /// Consumer side, non-blocking: the first round the producer has
-        /// *not* finished. Every round below this is drainable.
-        fn done_round(&self) -> u64 {
-            self.done.0.load(Ordering::Acquire)
-        }
-
-        /// Consumer side: the earliest round whose drain would deliver
-        /// content (`u64::MAX` when the queue holds nothing). Entries are
-        /// tagged in round order, so everything below this round drains
-        /// empty.
-        fn first_pending(&self) -> u64 {
-            let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            slots.queue.front().map_or(u64::MAX, |e| e.0)
-        }
-
-        /// Producer side: rounds up to (excluding) `done` completed with no
-        /// boundary sends — one release store covers the whole quiet span.
-        fn publish_span(&self, done: u64) {
-            self.done.0.store(done, Ordering::Release);
-        }
-
-        /// Consumer side: move every entry for rounds `<= t` into `dest`.
-        fn drain_into(&self, t: u64, dest: &mut Vec<M>) {
-            let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            while slots.queue.front().is_some_and(|e| e.0 <= t) {
-                let (_, mut buf) = slots.queue.pop_front().expect("front checked");
-                dest.append(&mut buf);
-                if slots.free.len() < 4 {
-                    slots.free.push(buf);
-                }
-            }
-        }
-    }
-
-    /// What a window boundary resolved to: the leader computes it from the
-    /// tasks' per-round processed sums and the error flag.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    enum Boundary {
-        /// No terminal event inside the window; open the next one.
-        Advance,
-        /// All work accounted for at the end of round `last_round`; rounds
-        /// after it are overrun and must be rolled back.
-        Done { last_round: u64 },
-        /// An in-round error stops the run; the shared flag holds it.
-        Fail,
-        /// Work conservation violated at a round boundary; `processed` is
-        /// the cumulative total the sequential engine would report.
-        Miscount { processed: u64 },
-    }
-
-    /// Resolves the window `[win_start, win_start + rounds.len())` with the
-    /// sequential engine's per-round precedence: an in-round error at round
-    /// `t` beats that round's end-of-round checks, and the conservation
-    /// check (`> total`) precedes the completion check (`== total`). A flag
-    /// at a round *after* completion is an overrun artifact — the
-    /// sequential engine would have stopped before reaching it — and is
-    /// voided by the caller. Returns the resolution plus the processed
-    /// total at the stopping point (or the window end).
-    fn resolve_window(
-        win_start: u64,
-        cum_base: u64,
-        rounds: &[u64],
-        flag: Option<(u64, usize)>,
-        total_work: u64,
-    ) -> (Boundary, u64) {
-        let mut cum = cum_base;
-        for (r, &p) in rounds.iter().enumerate() {
-            let t = win_start + r as u64;
-            if flag.is_some_and(|(ft, _)| ft == t) {
-                return (Boundary::Fail, cum);
-            }
-            cum += p;
-            if cum > total_work {
-                return (Boundary::Miscount { processed: cum }, cum);
-            }
-            if cum == total_work {
-                return (Boundary::Done { last_round: t }, cum);
-            }
-        }
-        debug_assert!(flag.is_none(), "error flag past its own window");
-        (Boundary::Advance, cum)
-    }
-
-    /// Per-round rollback frame, ring-buffered over the current window.
-    ///
-    /// Completion is only detected at the window boundary, so an arc may
-    /// overrun the completing round by up to a window. Overrun rounds can
-    /// still touch observable state — zero-payload control messages (load
-    /// probes) keep circulating after the last unit of work is done — so
-    /// each round logs what it changed: scalar counter snapshots (restored
-    /// wholesale from the first discarded frame) plus sparse per-node
-    /// deltas (reverse-applied frame by frame). Work deltas are logged too,
-    /// defensively: for contract-abiding policies no overrun round
-    /// processes anything.
-    #[derive(Default)]
-    struct RoundUndo {
-        events_len: usize,
-        samples_len: usize,
-        rounds_len: usize,
-        messages_sent: u64,
-        job_hops: u64,
-        messages_dropped: u64,
-        messages_delayed: u64,
-        messages_retried: u64,
-        last_busy: Option<u64>,
-        /// `(arc-local node, units processed)` — one busy step each.
-        work: Vec<(u32, u64)>,
-        /// `(arc-local node, cw msgs, cw payload, ccw msgs, ccw payload,
-        /// dropped-off payload)` — mirrors `Observability::record_sends`
-        /// and the drop-off meter; recorded only when observing.
-        sends: Vec<(u32, u64, u64, u64, u64, u64)>,
-    }
-
-    /// Rolls an arc partial back to the end of the round before frame
-    /// `keep`, discarding everything the overrun rounds recorded.
-    fn roll_back(partial: &mut ArcPartial, undo: &[RoundUndo], keep: usize) {
-        let Some(first) = undo.get(keep) else { return };
-        partial.events.truncate(first.events_len);
-        partial.sent_payload_per_round.truncate(first.rounds_len);
-        partial.messages_sent = first.messages_sent;
-        partial.job_hops = first.job_hops;
-        partial.messages_dropped = first.messages_dropped;
-        partial.messages_delayed = first.messages_delayed;
-        partial.messages_retried = first.messages_retried;
-        partial.last_busy = first.last_busy;
-        if let Some(o) = partial.obs.as_mut() {
-            o.samples.truncate(first.samples_len);
-        }
-        for frame in &undo[keep..] {
-            for &(j, units) in &frame.work {
-                let j = j as usize;
-                partial.processed_per_node[j] -= units;
-                partial.busy_steps_per_node[j] -= 1;
-            }
-            if let Some(o) = partial.obs.as_mut() {
-                for &(j, cw_m, cw_p, ccw_m, ccw_p, dropped) in &frame.sends {
-                    let j = j as usize;
-                    if cw_m > 0 {
-                        o.links.cw_messages[j] -= cw_m;
-                        o.links.cw_payload[j] -= cw_p;
-                        o.links.cw_busy_steps[j] -= 1;
-                    }
-                    if ccw_m > 0 {
-                        o.links.ccw_messages[j] -= ccw_m;
-                        o.links.ccw_payload[j] -= ccw_p;
-                        o.links.ccw_busy_steps[j] -= 1;
-                    }
-                    o.dropoffs_per_node[j] -= dropped;
-                }
-            }
-        }
-    }
-
-    /// Default locality window: long enough to amortize the pool spawn and
-    /// the leader's boundary pass, short enough that the per-window
-    /// bookkeeping stays small.
-    const DEFAULT_WINDOW: u64 = 64;
-    /// Hard cap on one window's length, bounding the undo-ring footprint.
-    /// Purely an implementation bound: boundaries are unobservable, so
-    /// splitting a longer request changes nothing.
-    const MAX_WINDOW: u64 = 4096;
-
-    /// Resolves the configured window size: [`EngineConfig::window`]
-    /// (`Some(u64::MAX)` = "as long as the shortest task range"), else
-    /// [`DEFAULT_WINDOW`]; clamped to `1..=MAX_WINDOW`.
-    fn window_size(config: &EngineConfig, min_arc: usize) -> u64 {
-        let requested = match config.window {
-            Some(u64::MAX) => min_arc.max(1) as u64,
-            Some(w) => w,
-            None => DEFAULT_WINDOW,
-        };
-        requested.clamp(1, MAX_WINDOW)
-    }
-
-    /// Deterministic merge of per-arc partials on top of a run prefix:
-    /// per-node vectors add slice-wise, counters sum, the trace delta is
-    /// order-restored by a stable `(step, node)` sort and appended to the
-    /// prefix (every prefix event is at `t < t0`, so concatenation is
-    /// order-correct). Shared by the end-of-run report, the pause image
-    /// and the mid-run checkpoint, so all three see the same metrics.
-    fn merge_partials(
-        t0: u64,
-        base_metrics: &Metrics,
-        base_events: &[Event],
-        base_obs: Option<&Observability>,
-        trace_level: TraceLevel,
-        partials: Vec<ArcPartial>,
-    ) -> (Metrics, Vec<Event>, Option<Observability>) {
-        let rounds = partials
-            .iter()
-            .map(|p| p.sent_payload_per_round.len())
-            .max()
-            .unwrap_or(0);
-        let mut metrics = base_metrics.clone();
-        metrics.steps = t0 + rounds as u64;
-        let mut inflight_per_round = vec![0u64; rounds];
-        let mut obs = base_obs.cloned();
-        let mut event_logs: Vec<Vec<Event>> = Vec::with_capacity(partials.len());
-        for p in partials {
-            let k = p.processed_per_node.len();
-            for (dst, src) in metrics.processed_per_node[p.lo..p.lo + k]
-                .iter_mut()
-                .zip(&p.processed_per_node)
-            {
-                *dst += src;
-            }
-            for (dst, src) in metrics.busy_steps_per_node[p.lo..p.lo + k]
-                .iter_mut()
-                .zip(&p.busy_steps_per_node)
-            {
-                *dst += src;
-            }
-            metrics.messages_sent += p.messages_sent;
-            metrics.job_hops += p.job_hops;
-            metrics.messages_dropped += p.messages_dropped;
-            metrics.messages_delayed += p.messages_delayed;
-            metrics.messages_retried += p.messages_retried;
-            metrics.last_busy_step = metrics.last_busy_step.max(p.last_busy);
-            for (round, payload) in p.sent_payload_per_round.iter().enumerate() {
-                inflight_per_round[round] += payload;
-            }
-            if let (Some(o), Some(po)) = (obs.as_mut(), p.obs.as_ref()) {
-                o.absorb_arc_at(p.lo, po, t0);
-            }
-            event_logs.push(p.events);
-        }
-        let delta_peak = inflight_per_round.iter().copied().max().unwrap_or(0);
-        metrics.peak_inflight_jobs = metrics.peak_inflight_jobs.max(delta_peak);
-        let mut events = base_events.to_vec();
-        events.extend(Trace::merge_arcs(trace_level, event_logs).into_events());
-        (metrics, events, obs)
-    }
-
-    // ------------------------------------------------------------------
-    // The task-pool executor (see DESIGN.md §6 and §14).
-    //
-    // Leader-orchestrated: the main thread owns the whole ring state
-    // between windows and runs the entire boundary protocol (budget,
-    // pause, checkpoint, window resolution, rollback) single-threaded,
-    // mirroring the sequential engine's exact ordering. Only the window
-    // interior is parallel: the ring is cut into more node-range tasks
-    // than worker threads, and workers cooperatively advance whichever
-    // task is runnable — a task blocked on a neighbor's halo is requeued,
-    // not waited on, so an imbalanced ring keeps every core busy. Stealing
-    // changes *who* computes a range, never what is computed, so the
-    // report stays bit-identical for every schedule.
-    // ------------------------------------------------------------------
-
-    /// Per-task state that persists across the windows of one span.
-    struct TaskState<M> {
-        partial: ArcPartial,
-        round_processed: Vec<u64>,
-        undo: Vec<RoundUndo>,
-        out_cw_boundary: Vec<M>,
-        out_ccw_boundary: Vec<M>,
-        arc_prev_departed: u64,
-        /// Nodes that processed work in the task's last swept round;
-        /// `== len` arms the dense fused sweep (no skip bookkeeping) for
-        /// the next round, since the quiescent-node short-circuit cannot
-        /// fire on an all-busy range.
-        busy_last_round: usize,
-        /// All-quiet fast path: when a full (plan-free) sweep finds every
-        /// node in the range quiescent, the task falls asleep — rounds
-        /// before this promise advance in O(1) bulk bookkeeping instead of
-        /// per-node sweeps (`0` = awake). Set to the minimum of the range's
-        /// `quiet_until` promises; a boundary delivery or the promise
-        /// expiring wakes the task.
-        asleep_until: u64,
-        /// Rounds skipped while asleep, owed to every node's `quiet_debt`;
-        /// folded in at wake-up or window end so `fast_forward` and the
-        /// leader's boundary settlement see the full count.
-        asleep_debt: u64,
-        /// The `(max_pending, total_pending)` observability sample an
-        /// all-quiet round records; node state is frozen while asleep, so
-        /// skipped rounds re-push exactly these values.
-        asleep_pending: (u64, u64),
-    }
-
-    fn new_task_state<M>(lo: usize, len: usize, config: &EngineConfig) -> TaskState<M> {
-        TaskState {
-            partial: ArcPartial {
-                lo,
-                processed_per_node: vec![0; len],
-                busy_steps_per_node: vec![0; len],
-                messages_sent: 0,
-                job_hops: 0,
-                messages_dropped: 0,
-                messages_delayed: 0,
-                messages_retried: 0,
-                last_busy: None,
-                sent_payload_per_round: Vec::new(),
-                events: Vec::new(),
-                obs: config.observe.then(|| Observability::new(len)),
-            },
-            round_processed: Vec::new(),
-            undo: Vec::new(),
-            out_cw_boundary: Vec::new(),
-            out_ccw_boundary: Vec::new(),
-            arc_prev_departed: 0,
-            busy_last_round: 0,
-            asleep_until: 0,
-            asleep_debt: 0,
-            asleep_pending: (0, 0),
-        }
-    }
-
-    /// Splits `rest` into consecutive mutable slices matching `bounds`
-    /// (which must tile `0..rest.len()`).
-    fn split_ranges<'s, T>(mut rest: &'s mut [T], bounds: &[(usize, usize)]) -> Vec<&'s mut [T]> {
-        let mut out = Vec::with_capacity(bounds.len());
-        for &(lo, hi) in bounds {
-            let (a, b) = rest.split_at_mut(hi - lo);
-            out.push(a);
-            rest = b;
-        }
-        out
-    }
-
-    /// Empty per-task slices for state that is not materialized in this
-    /// run (link queues without a fault plan, unit columns when not
-    /// observing).
-    fn empty_ranges<'s, T>(n: usize) -> Vec<&'s mut [T]> {
-        (0..n).map(|_| <&mut [T]>::default()).collect()
-    }
-
-    /// One task's view of the ring for the current window: its node range,
-    /// arena/queue/cache slices, and its window clock. Owned by whichever
-    /// worker holds the lock; the leader reads the remains after the
-    /// window scope joins.
-    struct TaskRun<'s, N: Node> {
-        lo: usize,
-        hi: usize,
-        t: u64,
-        /// Phase A (sweep + publish) done for round `t`; waiting on the
-        /// neighbor halos to finish the round.
-        swept: bool,
-        /// Reached the window end (or stopped on an in-round error).
-        done: bool,
-        nodes: &'s mut [N],
-        cur_cw: &'s mut [Vec<N::Msg>],
-        cur_ccw: &'s mut [Vec<N::Msg>],
-        next_cw: &'s mut [Vec<N::Msg>],
-        next_ccw: &'s mut [Vec<N::Msg>],
-        queue_cw: &'s mut [LinkQueue<N::Msg>],
-        queue_ccw: &'s mut [LinkQueue<N::Msg>],
-        quiet_until: &'s mut [u64],
-        quiet_debt: &'s mut [u64],
-        units_cur_cw: &'s mut [u64],
-        units_cur_ccw: &'s mut [u64],
-        units_next_cw: &'s mut [u64],
-        units_next_ccw: &'s mut [u64],
-        state: &'s mut TaskState<N::Msg>,
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_stolen<N>(
-        nodes: &mut [N],
-        topo: RingTopology,
-        total_work: u64,
-        max_steps: u64,
-        config: &EngineConfig,
-        shards: usize,
-        resume: Option<ResumeState<N::Msg>>,
-        mut checkpoint: Option<&mut CheckpointHook<N::Msg>>,
-        pause_at: Option<u64>,
-    ) -> Result<Sharded<N::Msg>, SimError>
-    where
-        N: Node + Send,
-        N::Msg: Send,
-    {
-        let m = topo.len();
-        let r_tasks = (shards * config.par.resolved_tasks_per_shard())
-            .min(m)
-            .max(1);
-
-        // The run prefix: zero for a fresh start, the paused or restored
-        // mid-run image otherwise. Tasks carry only deltas relative to it.
-        let base = resume.unwrap_or_else(|| ResumeState {
-            t0: 0,
-            prev_round_departed: 0,
-            cur_cw: (0..m).map(|_| Vec::new()).collect(),
-            cur_ccw: (0..m).map(|_| Vec::new()).collect(),
-            queue_cw: Vec::new(),
-            queue_ccw: Vec::new(),
-            metrics: Metrics::new(m),
-            trace: Trace::new(config.trace),
-            obs: config.observe.then(|| Observability::new(m)),
-            scratch: None,
-        });
-        let ResumeState {
-            t0,
-            prev_round_departed: base_prev_departed,
-            mut cur_cw,
-            mut cur_ccw,
-            mut queue_cw,
-            mut queue_ccw,
-            metrics: base_metrics,
-            trace: base_trace,
-            obs: base_obs,
-            scratch: _,
-        } = base;
-
-        let mut next_cw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
-        let mut next_ccw: Vec<Vec<N::Msg>> = (0..m).map(|_| Vec::new()).collect();
-
-        let plan_active = config.faults.is_some();
-        if plan_active && queue_cw.is_empty() {
-            queue_cw = (0..m).map(|_| VecDeque::new()).collect();
-            queue_ccw = (0..m).map(|_| VecDeque::new()).collect();
-        }
-
-        // Quiescent-node caches; debts are settled at every boundary
-        // before any protocol can observe node state.
-        let mut quiet_until: Vec<u64> = vec![0; m];
-        let mut quiet_debt: Vec<u64> = vec![0; m];
-
-        // SoA unit columns: per-cell payload sums maintained alongside the
-        // message arenas so the sweep's `delivered` figure is one add
-        // instead of a message scan. Only materialized when it pays (the
-        // scan exists only under `observe`) and only when lossless links
-        // make the column update exact (no fault plan).
-        let units_on = config.observe && !plan_active;
-        let un = if units_on { m } else { 0 };
-        let mut units_cur_cw: Vec<u64> = vec![0; un];
-        let mut units_cur_ccw: Vec<u64> = vec![0; un];
-        let mut units_next_cw: Vec<u64> = vec![0; un];
-        let mut units_next_ccw: Vec<u64> = vec![0; un];
-        if units_on {
-            for i in 0..m {
-                units_cur_cw[i] = payload_of(&cur_cw[i]);
-                units_cur_ccw[i] = payload_of(&cur_ccw[i]);
-            }
-        }
-
-        // `r_tasks <= m`, so the even cut yields exactly `r_tasks` ranges.
-        let bounds: Vec<(usize, usize)> = ring_topology::even_cuts(m, r_tasks)
-            .into_iter()
-            .map(|r| (r.start, r.end))
-            .collect();
-        let min_len = m / r_tasks;
-        let mut states: Vec<TaskState<N::Msg>> = bounds
-            .iter()
-            .map(|&(lo, hi)| new_task_state(lo, hi - lo, config))
-            .collect();
-        states[0].arc_prev_departed = base_prev_departed;
-
-        let cp_every = match (config.checkpoint_every, checkpoint.is_some()) {
-            (Some(k), true) => Some(k),
-            _ => None,
-        };
-
-        // Merges the task partials onto the run prefix.
-        let merge = |partials: Vec<ArcPartial>| {
-            merge_partials(
-                t0,
-                &base_metrics,
-                base_trace.events(),
-                base_obs.as_ref(),
-                config.trace,
-                partials,
-            )
-        };
-
-        let mut cum_base: u64 = base_metrics.total_processed();
-        let mut t: u64 = t0;
-        loop {
-            // Settle skipped-round drain debt before any boundary protocol
-            // (pause, checkpoint) can observe node state mid-replay.
-            for (i, debt) in quiet_debt.iter_mut().enumerate() {
-                if *debt > 0 {
-                    nodes[i].fast_forward(std::mem::take(debt));
-                }
-            }
-
-            if t >= max_steps {
-                return Err(SimError::ExceededMaxSteps {
-                    max_steps,
-                    processed: cum_base,
-                    total: total_work,
-                });
-            }
-
-            if pause_at == Some(t) {
-                let prev: u64 = states.iter().map(|s| s.arc_prev_departed).sum();
-                let (metrics, events, obs) = merge(states.into_iter().map(|s| s.partial).collect());
-                return Ok(Sharded::Paused(ResumeState {
-                    t0: t,
-                    prev_round_departed: prev,
-                    cur_cw,
-                    cur_ccw,
-                    queue_cw,
-                    queue_ccw,
-                    metrics,
-                    trace: Trace::from_events(config.trace, events),
-                    obs,
-                    scratch: None,
-                }));
-            }
-
-            // Checkpoint boundary: the leader holds the whole-ring step-`t`
-            // image, so it merges a copy of the task partials and calls the
-            // sequential writer — the bytes cannot depend on shard count,
-            // task cut or steal history.
-            if let Some(every) = cp_every {
-                if t > t0 && t % every == 0 {
-                    let hook = checkpoint.as_deref_mut().expect("gated on hook presence");
-                    let prev: u64 = states.iter().map(|s| s.arc_prev_departed).sum();
-                    let (metrics, events, obs) =
-                        merge(states.iter().map(|s| s.partial.clone()).collect());
-                    let snap = build_snapshot(
-                        hook.save_msg,
-                        nodes,
-                        total_work,
-                        t,
-                        prev,
-                        config.trace,
-                        config.faults.as_ref(),
-                        &metrics,
-                        &events,
-                        obs.as_ref(),
-                        &cur_cw,
-                        &cur_ccw,
-                        &queue_cw,
-                        &queue_ccw,
-                        &config.checkpoint_meta,
-                    );
-                    let result = snap.and_then(|snap| (hook.sink)(&snap));
-                    if let Err(error) = result {
-                        return Err(SimError::Checkpoint { step: t, error });
-                    }
-                }
-            }
-
-            // Quiescent-span compression is deliberately not implemented
-            // here: it is unobservable in the report (DESIGN.md §10), and
-            // an all-asleep ring already advances in O(tasks) per round.
-
-            // Open a window, capped so checkpoint cadence, pauses and the
-            // budget land on window boundaries.
-            let mut w = window_size(config, min_len).min(max_steps - t);
-            if let Some(every) = cp_every {
-                w = w.min(every - t % every);
-            }
-            if let Some(p) = pause_at {
-                w = w.min(p - t);
-            }
-            let w = w.max(1);
-            let win_start = t;
-            for s in states.iter_mut() {
-                s.round_processed.clear();
-                if s.undo.len() < w as usize {
-                    s.undo.resize_with(w as usize, RoundUndo::default);
-                }
-            }
-
-            // Per-window shared state: fresh halos (all drained at the
-            // previous boundary), the runnable-task queue, and the error
-            // flag (any flag is resolved at this window's boundary).
-            let halo_cw: Vec<Halo<N::Msg>> = (0..r_tasks).map(|_| Halo::new(win_start)).collect();
-            let halo_ccw: Vec<Halo<N::Msg>> = (0..r_tasks).map(|_| Halo::new(win_start)).collect();
-            let flagged: Mutex<Option<Flagged>> = Mutex::new(None);
-            let remaining = AtomicUsize::new(r_tasks);
-            let runnable: Mutex<VecDeque<usize>> = Mutex::new((0..r_tasks).collect());
-
-            {
-                let node_slices = split_ranges(&mut *nodes, &bounds);
-                let cur_cw_s = split_ranges(&mut cur_cw, &bounds);
-                let cur_ccw_s = split_ranges(&mut cur_ccw, &bounds);
-                let next_cw_s = split_ranges(&mut next_cw, &bounds);
-                let next_ccw_s = split_ranges(&mut next_ccw, &bounds);
-                let (qcw_s, qccw_s) = if plan_active {
-                    (
-                        split_ranges(&mut queue_cw, &bounds),
-                        split_ranges(&mut queue_ccw, &bounds),
-                    )
-                } else {
-                    (empty_ranges(r_tasks), empty_ranges(r_tasks))
-                };
-                let quiet_until_s = split_ranges(&mut quiet_until, &bounds);
-                let quiet_debt_s = split_ranges(&mut quiet_debt, &bounds);
-                let (ucw_s, uccw_s, nucw_s, nuccw_s) = if units_on {
-                    (
-                        split_ranges(&mut units_cur_cw, &bounds),
-                        split_ranges(&mut units_cur_ccw, &bounds),
-                        split_ranges(&mut units_next_cw, &bounds),
-                        split_ranges(&mut units_next_ccw, &bounds),
-                    )
-                } else {
-                    (
-                        empty_ranges(r_tasks),
-                        empty_ranges(r_tasks),
-                        empty_ranges(r_tasks),
-                        empty_ranges(r_tasks),
-                    )
-                };
-
-                let mut nodes_it = node_slices.into_iter();
-                let mut cc_it = cur_cw_s.into_iter();
-                let mut cx_it = cur_ccw_s.into_iter();
-                let mut nc_it = next_cw_s.into_iter();
-                let mut nx_it = next_ccw_s.into_iter();
-                let mut qc_it = qcw_s.into_iter();
-                let mut qx_it = qccw_s.into_iter();
-                let mut qu_it = quiet_until_s.into_iter();
-                let mut qd_it = quiet_debt_s.into_iter();
-                let mut uc_it = ucw_s.into_iter();
-                let mut ux_it = uccw_s.into_iter();
-                let mut nuc_it = nucw_s.into_iter();
-                let mut nux_it = nuccw_s.into_iter();
-                let mut tasks: Vec<Mutex<TaskRun<'_, N>>> = Vec::with_capacity(r_tasks);
-                for (k, st) in states.iter_mut().enumerate() {
-                    let (lo, hi) = bounds[k];
-                    tasks.push(Mutex::new(TaskRun {
-                        lo,
-                        hi,
-                        t: win_start,
-                        swept: false,
-                        done: false,
-                        nodes: nodes_it.next().expect("one slice per task"),
-                        cur_cw: cc_it.next().expect("one slice per task"),
-                        cur_ccw: cx_it.next().expect("one slice per task"),
-                        next_cw: nc_it.next().expect("one slice per task"),
-                        next_ccw: nx_it.next().expect("one slice per task"),
-                        queue_cw: qc_it.next().expect("one slice per task"),
-                        queue_ccw: qx_it.next().expect("one slice per task"),
-                        quiet_until: qu_it.next().expect("one slice per task"),
-                        quiet_debt: qd_it.next().expect("one slice per task"),
-                        units_cur_cw: uc_it.next().expect("one slice per task"),
-                        units_cur_ccw: ux_it.next().expect("one slice per task"),
-                        units_next_cw: nuc_it.next().expect("one slice per task"),
-                        units_next_ccw: nux_it.next().expect("one slice per task"),
-                        state: st,
-                    }));
-                }
-                // Pool size: one worker per shard, but never more than
-                // there are tasks to hold, and — unless explicitly forced —
-                // never more than the machine has cores (excess workers
-                // only add scheduling churn; on a single-core host the
-                // window runs leader-only with zero thread spawns). Worker
-                // count is unobservable in the report, so this adapts
-                // freely per machine.
-                let workers = config
-                    .par
-                    .resolved_threads()
-                    .unwrap_or_else(|| {
-                        shards.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-                    })
-                    .min(r_tasks)
-                    .max(1);
-                let tasks = &tasks;
-                let runnable = &runnable;
-                let remaining = &remaining;
-                let flagged = &flagged;
-                let halo_cw = &halo_cw;
-                let halo_ccw = &halo_ccw;
-                std::thread::scope(|scope| {
-                    for wid in 1..workers {
-                        scope.spawn(move || {
-                            steal_worker(
-                                wid, tasks, runnable, remaining, flagged, halo_cw, halo_ccw,
-                                win_start, w, config, topo, units_on,
-                            );
-                        });
-                    }
-                    steal_worker(
-                        0, tasks, runnable, remaining, flagged, halo_cw, halo_ccw, win_start, w,
-                        config, topo, units_on,
-                    );
-                });
-            }
-
-            // ---- Window boundary: leader-sequential resolution. ----
-            let mut rounds: Vec<u64> = Vec::new();
-            for s in &states {
-                if rounds.len() < s.round_processed.len() {
-                    rounds.resize(s.round_processed.len(), 0);
-                }
-                for (dst, src) in rounds.iter_mut().zip(&s.round_processed) {
-                    *dst += src;
-                }
-            }
-            let flag = flagged.into_inner().unwrap_or_else(|e| e.into_inner());
-            let (resolution, cum) = resolve_window(
-                win_start,
-                cum_base,
-                &rounds,
-                flag.as_ref().map(|&(ft, fnode, _)| (ft, fnode)),
-                total_work,
-            );
-            match resolution {
-                Boundary::Advance => {
-                    t = win_start + w;
-                    cum_base = cum;
-                }
-                Boundary::Done { last_round } => {
-                    let keep = (last_round + 1 - win_start) as usize;
-                    for s in states.iter_mut() {
-                        let n = s.round_processed.len();
-                        roll_back(&mut s.partial, &s.undo[..n], keep);
-                    }
-                    let (metrics, events, obs) =
-                        merge(states.into_iter().map(|s| s.partial).collect());
-                    let trace = Trace::from_events(config.trace, events);
-                    let makespan = metrics.last_busy_step.expect("work was processed") + 1;
-                    return Ok(Sharded::Done(RunReport {
-                        makespan,
-                        metrics,
-                        trace,
-                        observability: obs,
-                    }));
-                }
-                Boundary::Fail => {
-                    let (_, _, err) = flag.expect("fail resolution carries the flag");
-                    return Err(err);
-                }
-                Boundary::Miscount { processed } => {
-                    return Err(SimError::WorkMiscount {
-                        processed,
-                        total: total_work,
-                    });
-                }
-            }
-        }
-    }
-
-    /// One worker of the window pool: pops a runnable task, advances it as
-    /// far as its neighbor halos allow, and requeues it when blocked. The
-    /// seed perturbs which end of the queue each worker pops — an
-    /// adversarial-schedule knob; reports are schedule-independent because
-    /// stealing only moves *who* runs a task, never its content or order.
-    ///
-    /// Deadlock-free: `Halo::publish` never blocks, so among the tasks at
-    /// the minimal round there is always one whose neighbors have already
-    /// published (or are themselves runnable from the queue); a blocked
-    /// task is requeued, not held, so that runnable task is always
-    /// reachable.
-    #[allow(clippy::too_many_arguments)]
-    fn steal_worker<N: Node>(
-        wid: usize,
-        tasks: &[Mutex<TaskRun<'_, N>>],
-        runnable: &Mutex<VecDeque<usize>>,
-        remaining: &AtomicUsize,
-        flagged: &Mutex<Option<Flagged>>,
-        halo_cw: &[Halo<N::Msg>],
-        halo_ccw: &[Halo<N::Msg>],
-        win_start: u64,
-        w: u64,
-        config: &EngineConfig,
-        topo: RingTopology,
-        units_on: bool,
-    ) {
-        let win_end = win_start + w;
-        // Worker-local scratch, transient within one node step, so reuse
-        // across tasks is safe.
-        let mut stage_cw: Vec<N::Msg> = Vec::new();
-        let mut stage_ccw: Vec<N::Msg> = Vec::new();
-        let mut audit_buf: Vec<DropRecord> = Vec::new();
-        // Deterministic per-worker pop-order perturbation (xorshift64).
-        let mut rng = (config.par.resolved_steal_seed()
-            ^ (wid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            | 1;
-        let mut idle = 0u32;
-        while remaining.load(Ordering::Acquire) > 0 {
-            let idx = {
-                let mut q = runnable.lock().unwrap_or_else(|e| e.into_inner());
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                if rng & 1 == 0 {
-                    q.pop_front()
-                } else {
-                    q.pop_back()
-                }
-            };
-            let Some(idx) = idx else {
-                // Every task is held by some worker right now; they will
-                // requeue what they cannot finish.
-                std::thread::yield_now();
-                continue;
-            };
-            let progressed = {
-                let mut task = tasks[idx].lock().unwrap_or_else(|e| e.into_inner());
-                let progressed = advance_task(
-                    &mut task,
-                    idx,
-                    tasks.len(),
-                    halo_cw,
-                    halo_ccw,
-                    win_end,
-                    config,
-                    topo,
-                    units_on,
-                    flagged,
-                    &mut stage_cw,
-                    &mut stage_ccw,
-                    &mut audit_buf,
-                );
-                if task.done {
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                progressed
-            };
-            runnable
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(idx);
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle > 64 {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Advances one task as far as it can go without blocking: sweep the
-    /// current round (phase A), then complete the halo handshake (phase B)
-    /// whenever both in-halos have published the round. Returns whether any
-    /// phase ran.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_task<N: Node>(
-        task: &mut TaskRun<'_, N>,
-        idx: usize,
-        ntasks: usize,
-        halo_cw: &[Halo<N::Msg>],
-        halo_ccw: &[Halo<N::Msg>],
-        win_end: u64,
-        config: &EngineConfig,
-        topo: RingTopology,
-        units_on: bool,
-        flagged: &Mutex<Option<Flagged>>,
-        stage_cw: &mut Vec<N::Msg>,
-        stage_ccw: &mut Vec<N::Msg>,
-        audit_buf: &mut Vec<DropRecord>,
-    ) -> bool {
-        let mut progressed = false;
-        loop {
-            if !task.swept {
-                if task.state.asleep_until > task.t {
-                    match bulk_skip(task, idx, ntasks, halo_cw, halo_ccw, win_end) {
-                        SleepOutcome::Finished => {
-                            task.done = true;
-                            return true;
-                        }
-                        SleepOutcome::Blocked(advanced) => return progressed || advanced,
-                        // Fall through to the normal sweep, which counts as
-                        // progress on its own.
-                        SleepOutcome::Awake => {}
-                    }
-                }
-                let errored = sweep_task_round(
-                    task, idx, ntasks, halo_cw, halo_ccw, config, topo, units_on, flagged,
-                    stage_cw, stage_ccw, audit_buf,
-                );
-                progressed = true;
-                if errored {
-                    // Halos already abandoned; neighbors run to the window
-                    // end and the boundary scan lands on the flag.
-                    task.done = true;
-                    return true;
-                }
-                task.swept = true;
-            }
-            // Phase B, non-blocking: both neighbors must have finished
-            // this round (an abandoned halo reads as finished).
-            let t = task.t;
-            if !(halo_cw[idx].ready(t) && halo_ccw[idx].ready(t)) {
-                return progressed;
-            }
-            let len = task.hi - task.lo;
-            let before_cw = task.next_cw[0].len();
-            halo_cw[idx].drain_into(t, &mut task.next_cw[0]);
-            if units_on {
-                task.units_next_cw[0] += payload_of(&task.next_cw[0][before_cw..]);
-            }
-            let before_ccw = task.next_ccw[len - 1].len();
-            halo_ccw[idx].drain_into(t, &mut task.next_ccw[len - 1]);
-            if units_on {
-                task.units_next_ccw[len - 1] += payload_of(&task.next_ccw[len - 1][before_ccw..]);
-            }
-            if task.next_cw[0].len() > before_cw || task.next_ccw[len - 1].len() > before_ccw {
-                // The drain delivered content for the next round, so any
-                // sleep the quiet sweep just armed is void: settle its
-                // ledger (a no-op unless rounds were skipped) and clear the
-                // promise so the next sweep runs node by node.
-                settle_asleep_debt(task);
-                task.state.asleep_until = 0;
-            }
-            for j in 0..len {
-                std::mem::swap(&mut task.cur_cw[j], &mut task.next_cw[j]);
-                std::mem::swap(&mut task.cur_ccw[j], &mut task.next_ccw[j]);
-            }
-            if units_on {
-                for j in 0..len {
-                    task.units_cur_cw[j] = std::mem::take(&mut task.units_next_cw[j]);
-                    task.units_cur_ccw[j] = std::mem::take(&mut task.units_next_ccw[j]);
-                }
-            }
-            task.t += 1;
-            task.swept = false;
-            progressed = true;
-            if task.t == win_end {
-                task.done = true;
-                return true;
-            }
-        }
-    }
-
-    /// What a bulk-skip attempt on an asleep task concluded. The payload
-    /// bool is whether any round was completed by this attempt.
-    enum SleepOutcome {
-        /// The skip reached the window end; ledger settled, task done.
-        Finished,
-        /// Still asleep, waiting on neighbor publishes; poll again later.
-        Blocked(bool),
-        /// Woke up (promise expired or content is imminent); ledger
-        /// settled — proceed with a normal node-by-node sweep.
-        Awake,
-    }
-
-    /// Folds an asleep task's skipped rounds into every node's quiet-debt
-    /// ledger — exactly what per-node sweeps of those rounds would have
-    /// accrued — so `fast_forward` and the leader's boundary settlement see
-    /// the full count.
-    fn settle_asleep_debt<N: Node>(task: &mut TaskRun<'_, N>) {
-        let debt = std::mem::take(&mut task.state.asleep_debt);
-        if debt > 0 {
-            for q in task.quiet_debt.iter_mut() {
-                *q += debt;
-            }
-        }
-    }
-
-    /// Advances an asleep task — one whose last sweep found every node
-    /// quiescent with empty arenas — in O(1) per round instead of O(len).
-    ///
-    /// A skipped round is byte-for-byte an all-quiet sweep: zero sends, a
-    /// frozen observability sample (node state cannot change while no
-    /// round steps it), a zero work entry, and a rollback frame over
-    /// unchanged counters. Three bounds cap the skip:
-    ///
-    /// - the task's own promise (`asleep_until`) and the window end;
-    /// - `done` of both in-halos: a round is only complete once the
-    ///   neighbors finished it too (the normal phase-B handshake);
-    /// - the earliest queued tag of both in-halos: a round's drain is
-    ///   provably empty forever only below every queued entry and below
-    ///   the neighbors' `done` (future publishes tag at or above it).
-    ///
-    /// The sweep one round past that proof is still provably quiet, so it
-    /// is published *ahead* of its completion — that keeps the handshake
-    /// live when every task in the ring is asleep (each poll ratchets the
-    /// published frontier forward, which raises the neighbors' proof).
-    /// Re-publishing such a round after a wake is an idempotent empty
-    /// publish, so the overlap is harmless.
-    fn bulk_skip<N: Node>(
-        task: &mut TaskRun<'_, N>,
-        idx: usize,
-        ntasks: usize,
-        halo_cw: &[Halo<N::Msg>],
-        halo_ccw: &[Halo<N::Msg>],
-        win_end: u64,
-    ) -> SleepOutcome {
-        let t = task.t;
-        let horizon = task.state.asleep_until.min(win_end);
-        let ready_to = halo_cw[idx].done_round().min(halo_ccw[idx].done_round());
-        let first_content = halo_cw[idx]
-            .first_pending()
-            .min(halo_ccw[idx].first_pending());
-        let proven = ready_to.min(first_content);
-        let publish_to = horizon.min(proven.saturating_add(1));
-        let complete_to = horizon.min(proven);
-        if publish_to > t {
-            halo_cw[(idx + 1) % ntasks].publish_span(publish_to);
-            halo_ccw[(idx + ntasks - 1) % ntasks].publish_span(publish_to);
-        }
-        let mut advanced = false;
-        if complete_to > t {
-            let state = &mut *task.state;
-            let (max_pending, total_pending) = state.asleep_pending;
-            for r in t..complete_to {
-                let frame = &mut state.undo[state.round_processed.len()];
-                frame.events_len = state.partial.events.len();
-                frame.samples_len = state.partial.obs.as_ref().map_or(0, |o| o.samples.len());
-                frame.rounds_len = state.partial.sent_payload_per_round.len();
-                frame.messages_sent = state.partial.messages_sent;
-                frame.job_hops = state.partial.job_hops;
-                frame.messages_dropped = state.partial.messages_dropped;
-                frame.messages_delayed = state.partial.messages_delayed;
-                frame.messages_retried = state.partial.messages_retried;
-                frame.last_busy = state.partial.last_busy;
-                frame.work.clear();
-                frame.sends.clear();
-                state.partial.sent_payload_per_round.push(0);
-                state.arc_prev_departed = 0;
-                if let Some(o) = state.partial.obs.as_mut() {
-                    o.samples.push(StepSample {
-                        t: r,
-                        max_pending,
-                        total_pending,
-                        ..StepSample::default()
-                    });
-                }
-                state.round_processed.push(0);
-            }
-            state.asleep_debt += complete_to - t;
-            task.t = complete_to;
-            advanced = true;
-        }
-        let t = task.t;
-        if t == win_end {
-            settle_asleep_debt(task);
-            // The promise itself is kept: it outlives the window, so the
-            // next window can resume skipping without a re-arming sweep.
-            task.done = true;
-            return SleepOutcome::Finished;
-        }
-        if t >= task.state.asleep_until || first_content <= t {
-            // Promise expired, or the next drain delivers content. Either
-            // way round `t` is swept normally — when woken by content that
-            // sweep is still provably quiet (the entries land in the *next*
-            // arenas), so the publish-ahead overlap above stays consistent.
-            settle_asleep_debt(task);
-            task.state.asleep_until = 0;
-            return SleepOutcome::Awake;
-        }
-        SleepOutcome::Blocked(advanced)
-    }
-
-    /// Phase A of one task round: rollback frame, stall carryover, the
-    /// ordered per-node sweep with the quiescent-node short-circuit (the
-    /// parallel copy of `run_bounded`'s per-node accounting block) — plus
-    /// the dense fused variant that drops the skip bookkeeping when the
-    /// previous round saw every node in the range busy, and the SoA unit
-    /// columns replacing the `delivered` payload scans. Publishes the
-    /// boundary streams (never blocks) before returning. Returns `true` on
-    /// an in-round error (already flagged, halos abandoned).
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_task_round<N: Node>(
-        task: &mut TaskRun<'_, N>,
-        idx: usize,
-        ntasks: usize,
-        halo_cw: &[Halo<N::Msg>],
-        halo_ccw: &[Halo<N::Msg>],
-        config: &EngineConfig,
-        topo: RingTopology,
-        units_on: bool,
-        flagged: &Mutex<Option<Flagged>>,
-        stage_cw: &mut Vec<N::Msg>,
-        stage_ccw: &mut Vec<N::Msg>,
-        audit_buf: &mut Vec<DropRecord>,
-    ) -> bool {
-        let TaskRun {
-            lo,
-            hi,
-            t,
-            nodes,
-            cur_cw,
-            cur_ccw,
-            next_cw,
-            next_ccw,
-            queue_cw,
-            queue_ccw,
-            quiet_until,
-            quiet_debt,
-            units_cur_cw,
-            units_cur_ccw,
-            units_next_cw,
-            units_next_ccw,
-            state,
-            ..
-        } = task;
-        let (lo, hi, t) = (*lo, *hi, *t);
-        let len = hi - lo;
-        let TaskState {
-            partial,
-            round_processed,
-            undo,
-            out_cw_boundary,
-            out_ccw_boundary,
-            arc_prev_departed,
-            busy_last_round,
-            asleep_until,
-            asleep_pending,
-            ..
-        } = &mut **state;
-        let out_cw = &halo_cw[(idx + 1) % ntasks];
-        let out_ccw = &halo_ccw[(idx + ntasks - 1) % ntasks];
-        let plan = config.faults.as_ref();
-        let record = matches!(config.trace, TraceLevel::Full);
-        // All-busy last round: the short-circuit cannot fire, so run the
-        // fused sweep without the skip bookkeeping. Safe to leave the
-        // quiet caches untouched: an all-busy round zeroed `quiet_until`
-        // and settled every debt, and dense rounds never re-arm them.
-        let dense = plan.is_none() && *busy_last_round == len;
-
-        // Rollback frame (index == rounds completed this window).
-        let frame = &mut undo[round_processed.len()];
-        frame.events_len = partial.events.len();
-        frame.samples_len = partial.obs.as_ref().map_or(0, |o| o.samples.len());
-        frame.rounds_len = partial.sent_payload_per_round.len();
-        frame.messages_sent = partial.messages_sent;
-        frame.job_hops = partial.job_hops;
-        frame.messages_dropped = partial.messages_dropped;
-        frame.messages_delayed = partial.messages_delayed;
-        frame.messages_retried = partial.messages_retried;
-        frame.last_busy = partial.last_busy;
-        frame.work.clear();
-        frame.sends.clear();
-
-        let mut round_departed: u64 = 0;
-        if let Some(plan) = plan {
-            for j in 0..len {
-                if !plan.node_runs(lo + j, t) {
-                    round_departed += (cur_cw[j].len() + cur_ccw[j].len()) as u64;
-                    next_cw[j].append(&mut cur_cw[j]);
-                    next_ccw[j].append(&mut cur_ccw[j]);
-                }
-            }
-        }
-
-        let mut round_sent_payload: u64 = 0;
-        let mut round_work: u64 = 0;
-        let mut busy_nodes: usize = 0;
-        let mut quiet_nodes: usize = 0;
-        let mut sample = StepSample {
-            t,
-            ..StepSample::default()
-        };
-        let mut local_error = false;
-        for i in lo..hi {
-            let j = i - lo;
-            if !dense {
-                if plan.is_none() && cur_cw[j].is_empty() && cur_ccw[j].is_empty() {
-                    let quiet = t < quiet_until[j] || {
-                        match nodes[j].quiescence(t) {
-                            Some(q) if q.backlog == 0 && q.span >= 1 => {
-                                quiet_until[j] = t.saturating_add(q.span);
-                                true
-                            }
-                            _ => false,
-                        }
-                    };
-                    if quiet {
-                        quiet_debt[j] += 1;
-                        quiet_nodes += 1;
-                        if partial.obs.is_some() {
-                            let pending = nodes[j].pending_work();
-                            sample.max_pending = sample.max_pending.max(pending);
-                            sample.total_pending += pending;
-                        }
-                        continue;
-                    }
-                }
-                quiet_until[j] = 0;
-                if quiet_debt[j] > 0 {
-                    nodes[j].fast_forward(std::mem::take(&mut quiet_debt[j]));
-                }
-            }
-            let ctx = NodeCtx { id: i, t, topo };
-            let delivered = if partial.obs.is_some() {
-                if units_on {
-                    units_cur_cw[j] + units_cur_ccw[j]
-                } else {
-                    payload_of(&cur_cw[j]) + payload_of(&cur_ccw[j])
-                }
-            } else {
-                0
-            };
-            let (cur_a, cur_b) = split_two(cur_cw, cur_ccw, j);
-            let internal_cw = i + 1 < hi;
-            let internal_ccw = i > lo;
-            let to_cw: &mut Vec<N::Msg> = if internal_cw {
-                &mut next_cw[j + 1]
-            } else {
-                &mut *out_cw_boundary
-            };
-            let to_ccw: &mut Vec<N::Msg> = if internal_ccw {
-                &mut next_ccw[j - 1]
-            } else {
-                &mut *out_ccw_boundary
-            };
-            let faults = plan.map(|plan| FaultLinks {
-                plan,
-                queue_cw: &mut queue_cw[j],
-                queue_ccw: &mut queue_ccw[j],
-                stage_cw: &mut *stage_cw,
-                stage_ccw: &mut *stage_ccw,
-            });
-            let (step, dep_cw, dep_ccw) = match step_node_and_links(
-                &mut nodes[j],
-                &ctx,
-                cur_a,
-                cur_b,
-                to_cw,
-                to_ccw,
-                config.link_capacity,
-                record.then_some(&mut *audit_buf),
-                faults,
-            ) {
-                Ok(out) => out,
-                Err(err) => {
-                    merge_flag(flagged, (t, i, err));
-                    local_error = true;
-                    break;
-                }
-            };
-            round_departed += dep_cw.messages + dep_ccw.messages;
-            if units_on {
-                // Lossless links (no plan), so the departure payload is
-                // exactly what landed in the destination cell.
-                if internal_cw {
-                    units_next_cw[j + 1] += dep_cw.payload;
-                }
-                if internal_ccw {
-                    units_next_ccw[j - 1] += dep_ccw.payload;
-                }
-            }
-            if record {
-                for rec in audit_buf.drain(..) {
-                    partial.events.push(Event::DroppedOff {
-                        t,
-                        node: i,
-                        bucket: rec.bucket,
-                        units: rec.int,
-                        frac_bits: rec.frac.to_bits(),
-                        cum_drop_frac_bits: rec.cum_drop_frac.to_bits(),
-                        cum_accept_frac_bits: rec.cum_accept_frac.to_bits(),
-                        p_max_bucket: rec.p_max_bucket,
-                        p_max_node: rec.p_max_node,
-                        kind: rec.kind,
-                    });
-                }
-            }
-            if step.work_done > 0 {
-                partial.processed_per_node[j] += step.work_done;
-                partial.busy_steps_per_node[j] += 1;
-                partial.last_busy = Some(t);
-                round_work += step.work_done;
-                busy_nodes += 1;
-                frame.work.push((j as u32, step.work_done));
-                if record {
-                    partial.events.push(Event::Processed {
-                        t,
-                        node: i,
-                        units: step.work_done,
-                    });
-                }
-            }
-            for (dir, dep) in [(Direction::Cw, dep_cw), (Direction::Ccw, dep_ccw)] {
-                partial.messages_dropped += dep.dropped;
-                partial.messages_delayed += dep.delayed;
-                partial.messages_retried += dep.retried;
-                sample.link_dropped += dep.dropped;
-                sample.link_delayed += dep.delayed;
-                sample.link_retried += dep.retried;
-                if dep.messages == 0 {
-                    continue;
-                }
-                partial.messages_sent += dep.messages;
-                partial.job_hops += dep.payload;
-                round_sent_payload += dep.payload;
-                if record {
-                    partial.events.push(Event::Sent {
-                        t,
-                        node: i,
-                        dir,
-                        job_units: dep.payload,
-                    });
-                }
-            }
-            if let Some(o) = partial.obs.as_mut() {
-                o.record_sends(
-                    j,
-                    dep_cw.messages,
-                    dep_cw.payload,
-                    dep_ccw.messages,
-                    dep_ccw.payload,
-                );
-                let dropped = delivered.saturating_sub(step.sent_payload());
-                o.dropoffs_per_node[j] += dropped;
-                if dep_cw.messages > 0 || dep_ccw.messages > 0 || dropped > 0 {
-                    frame.sends.push((
-                        j as u32,
-                        dep_cw.messages,
-                        dep_cw.payload,
-                        dep_ccw.messages,
-                        dep_ccw.payload,
-                        dropped,
-                    ));
-                }
-                let pending = nodes[j].pending_work();
-                sample.delivered_payload += delivered;
-                sample.sent_payload += dep_cw.payload + dep_ccw.payload;
-                sample.messages += dep_cw.messages + dep_ccw.messages;
-                sample.processed += step.work_done;
-                sample.dropped_off += dropped;
-                sample.max_pending = sample.max_pending.max(pending);
-                sample.total_pending += pending;
-            }
-        }
-        // A fully quiet range arms the bulk skip: every node just promised
-        // an inert span given empty inboxes, nothing was sent, and the
-        // arenas are empty — so until the earliest promise expires or a
-        // boundary drain delivers content, each following round is this
-        // round, byte for byte.
-        if quiet_nodes == len {
-            *asleep_until = quiet_until.iter().copied().min().unwrap_or(0);
-            *asleep_pending = (sample.max_pending, sample.total_pending);
-        }
-        partial.sent_payload_per_round.push(round_sent_payload);
-        *arc_prev_departed = round_departed;
-        if let Some(o) = partial.obs.as_mut() {
-            o.samples.push(sample);
-        }
-        round_processed.push(round_work);
-        *busy_last_round = busy_nodes;
-
-        if local_error {
-            out_cw.abandon();
-            out_ccw.abandon();
-            return true;
-        }
-        out_cw.publish(t, out_cw_boundary);
-        out_ccw.publish(t, out_ccw_boundary);
-        false
-    }
-
-    /// Disjoint `&mut` borrows of `cw[j]` and `ccw[j]` (two different
-    /// containers; written as a helper so the call site stays readable).
-    fn split_two<'s, M>(
-        cw: &'s mut [Vec<M>],
-        ccw: &'s mut [Vec<M>],
-        j: usize,
-    ) -> (&'s mut Vec<M>, &'s mut Vec<M>) {
-        (&mut cw[j], &mut ccw[j])
-    }
 }
 
 #[cfg(test)]
@@ -4667,6 +3084,7 @@ mod par_tests {
 
     #[test]
     fn par_run_clamps_shards_to_ring_size() {
+        // More shards than nodes is accepted and changes nothing.
         let seq = Engine::new(relay_ring(3, 1, Direction::Cw), 1, full_config())
             .run()
             .unwrap();
@@ -4678,8 +3096,8 @@ mod par_tests {
 
     #[test]
     fn par_run_reports_the_same_budget_error() {
-        // Nobody ever sinks: both executors must blow the same step budget
-        // having processed nothing.
+        // Nobody ever sinks: `run` and `par_run` must blow the same step
+        // budget having processed nothing.
         let mk = || {
             let mut nodes = relay_ring(4, 0, Direction::Cw);
             for n in &mut nodes {
@@ -4818,6 +3236,8 @@ mod checkpoint_tests {
         }
     }
 
+    /// Pins the contract `benchmark/` relies on: `par_run(s)` is `run`,
+    /// report and checkpoints alike, for every shard count.
     #[test]
     fn par_checkpoints_are_identical_to_sequential_ones() {
         let mut seq_engine = Engine::new(
@@ -4939,8 +3359,8 @@ mod checkpoint_tests {
 
     #[test]
     fn save_state_errors_are_the_same_under_run_and_par_run() {
-        // Two failing nodes in different tasks: both executors must report
-        // the first boundary and the lower-indexed node's error.
+        // Two failing nodes: `run` and `par_run` must report the first
+        // boundary and the lower-indexed node's error.
         let mk = || {
             let nodes = relay_ring(8, 5, Direction::Cw)
                 .into_iter()

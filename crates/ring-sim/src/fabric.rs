@@ -37,7 +37,7 @@
 //! Ring policies lift unchanged: [`RingLift`] adapts any [`Node`] to a
 //! [`FabricNode`] by translating the port-tagged inbox back into the
 //! cw/ccw [`StepIo`] surface. The ring engine itself remains the fast path
-//! for rings (quiescent-span compression, windowed arc executors, the
+//! for rings (the active-node frontier, quiescent-span compression, the
 //! golden byte formats); the fabric is the generality path.
 
 use std::collections::VecDeque;
@@ -847,7 +847,7 @@ where
         // deque (the seed picks which end each worker pops, purely to
         // diversify interleavings) and file results by shard index, so the
         // merge below is the same whatever the steal schedule was. Worker 0
-        // is the calling thread, as in the ring engine's pool.
+        // is the calling thread.
         let seed = config.par.resolved_steal_seed();
         let workers = config
             .par

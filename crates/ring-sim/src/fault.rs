@@ -1,9 +1,10 @@
 //! Deterministic, seedable fault injection for engine runs.
 //!
 //! A [`FaultPlan`] is a *pure schedule* of degradations: every query is a
-//! function of `(plan, node/link, step)` and nothing else, so the sequential
-//! and the arc-parallel executors evaluate exactly the same faults and stay
-//! bit-for-bit identical (asserted by the workspace equivalence proptests).
+//! function of `(plan, node/link, step)` and nothing else, so the ring
+//! engine, the fabric and its round pool evaluate exactly the same faults
+//! and stay bit-for-bit identical (asserted by the workspace equivalence
+//! proptests).
 //!
 //! Three fault families are modelled, all scoped to half-open step epochs
 //! `[from, until)`:

@@ -70,9 +70,9 @@ impl Metrics {
 
 /// One step of the opt-in observability time series.
 ///
-/// Every counter is an exact integer so samples from the sequential and
-/// arc-parallel executors compare bit-for-bit; derived floating-point views
-/// (imbalance, utilization) are computed on demand from these.
+/// Every counter is an exact integer so samples compare bit-for-bit across
+/// runs; derived floating-point views (imbalance, utilization) are computed
+/// on demand from these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepSample {
     /// Step index.
@@ -103,25 +103,6 @@ pub struct StepSample {
     /// Messages that departed this step after at least one failed attempt
     /// (fault injection).
     pub link_retried: u64,
-}
-
-impl StepSample {
-    /// Folds another partial sample for the same step into this one (used to
-    /// merge per-arc partials from the parallel executor). Both samples must
-    /// cover disjoint node sets of the same step.
-    pub(crate) fn absorb(&mut self, other: &StepSample) {
-        debug_assert_eq!(self.t, other.t);
-        self.delivered_payload += other.delivered_payload;
-        self.sent_payload += other.sent_payload;
-        self.messages += other.messages;
-        self.processed += other.processed;
-        self.dropped_off += other.dropped_off;
-        self.max_pending = self.max_pending.max(other.max_pending);
-        self.total_pending += other.total_pending;
-        self.link_dropped += other.link_dropped;
-        self.link_delayed += other.link_delayed;
-        self.link_retried += other.link_retried;
-    }
 }
 
 /// Cumulative per-link counters, indexed by the *sending* node. The
@@ -162,11 +143,6 @@ impl LinkStats {
 }
 
 /// Opt-in per-step observability of a run ([`crate::EngineConfig::observe`]).
-///
-/// Collected identically by [`crate::Engine::run`] and
-/// [`crate::Engine::par_run`]: all counters are integers accumulated per node
-/// or per step, so the parallel executor's per-arc partials merge back to
-/// exactly the sequential result.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Observability {
     /// Ring size.
@@ -209,35 +185,6 @@ impl Observability {
             self.links.ccw_messages[node] += ccw_messages;
             self.links.ccw_payload[node] += ccw_payload;
             self.links.ccw_busy_steps[node] += 1;
-        }
-    }
-
-    /// Merges a per-arc partial whose first sample describes global step
-    /// `t_base` (a resumed run's arcs start mid-timeline). All counters are
-    /// *added*, so the base may already carry the pre-`t_base` history; on a
-    /// fresh merge (`t_base == 0` into an empty record) this is identical to
-    /// stitching.
-    pub(crate) fn absorb_arc_at(&mut self, lo: usize, part: &Observability, t_base: u64) {
-        let t_base = t_base as usize;
-        while self.samples.len() < t_base + part.samples.len() {
-            let t = self.samples.len() as u64;
-            self.samples.push(StepSample {
-                t,
-                ..StepSample::default()
-            });
-        }
-        for (mine, theirs) in self.samples[t_base..].iter_mut().zip(&part.samples) {
-            mine.absorb(theirs);
-        }
-        let k = part.dropoffs_per_node.len();
-        for (i, j) in (lo..lo + k).zip(0..k) {
-            self.dropoffs_per_node[i] += part.dropoffs_per_node[j];
-            self.links.cw_messages[i] += part.links.cw_messages[j];
-            self.links.ccw_messages[i] += part.links.ccw_messages[j];
-            self.links.cw_payload[i] += part.links.cw_payload[j];
-            self.links.ccw_payload[i] += part.links.ccw_payload[j];
-            self.links.cw_busy_steps[i] += part.links.cw_busy_steps[j];
-            self.links.ccw_busy_steps[i] += part.links.ccw_busy_steps[j];
         }
     }
 
@@ -370,36 +317,6 @@ mod tests {
         // 10 - 16/4 = 6
         assert_eq!(o.imbalance_series(), vec![6.0]);
         assert_eq!(o.peak_imbalance(), 6.0);
-    }
-
-    #[test]
-    fn arc_merge_stitches_nodes_and_sums_steps() {
-        let mut whole = Observability::new(4);
-        let mut left = Observability::new(2);
-        let mut right = Observability::new(2);
-        left.record_sends(0, 2, 5, 0, 0);
-        right.record_sends(1, 1, 1, 1, 0);
-        left.samples.push(StepSample {
-            t: 0,
-            sent_payload: 5,
-            max_pending: 3,
-            total_pending: 4,
-            ..StepSample::default()
-        });
-        right.samples.push(StepSample {
-            t: 0,
-            sent_payload: 1,
-            max_pending: 7,
-            total_pending: 7,
-            ..StepSample::default()
-        });
-        whole.absorb_arc_at(0, &left, 0);
-        whole.absorb_arc_at(2, &right, 0);
-        assert_eq!(whole.samples[0].sent_payload, 6);
-        assert_eq!(whole.samples[0].max_pending, 7);
-        assert_eq!(whole.samples[0].total_pending, 11);
-        assert_eq!(whole.links.cw_messages, vec![2, 0, 0, 1]);
-        assert_eq!(whole.links.ccw_messages, vec![0, 0, 0, 1]);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! synthesizes the *expanded* per-step `Processed` events before fast
 //! forwarding, so a compressed run's trace is indistinguishable from the
 //! step-by-step one. The invariance is proved by the representation- and
-//! compression-equivalence proptests in `ring-net/tests/par_equivalence.rs`,
+//! compression-equivalence proptests in `tests/engine_equivalence.rs`,
 //! which run every variant through [`check_run`].
 
 use std::collections::HashMap;

@@ -112,23 +112,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The `(step, node)` ordering key of engine-order traces. Within one
-    /// `(step, node)` cell the engine emits events in the fixed order
-    /// *DroppedOff\*, Processed, Sent cw, Sent ccw* (the fabric engine:
-    /// *Processed, SentOn by ascending port*), so a stable sort by this
-    /// key restores full engine order from any per-node-ordered shuffle —
-    /// which is how [`crate::Engine::par_run`] merges per-arc event logs.
-    pub(crate) fn order_key(&self) -> (u64, usize) {
-        match *self {
-            Event::Processed { t, node, .. }
-            | Event::Sent { t, node, .. }
-            | Event::SentOn { t, node, .. }
-            | Event::DroppedOff { t, node, .. } => (t, node),
-        }
-    }
-}
-
 /// An ordered log of [`Event`]s for one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
@@ -151,27 +134,12 @@ impl Trace {
         }
     }
 
-    /// Rebuilds a trace from per-arc event logs: concatenates them and
-    /// stable-sorts by `(step, node)`, which restores exact engine order
-    /// (see [`Event::order_key`]).
-    pub(crate) fn merge_arcs(level: TraceLevel, arcs: Vec<Vec<Event>>) -> Self {
-        let mut events: Vec<Event> = arcs.into_iter().flatten().collect();
-        events.sort_by_key(Event::order_key);
-        Trace { events, level }
-    }
-
     /// Builds a trace directly from an event list. Intended for tests that
     /// construct (or deliberately corrupt) traces to exercise the
     /// [`crate::oracle`]; the engine itself only records through the normal
     /// path.
     pub fn from_events(level: TraceLevel, events: Vec<Event>) -> Self {
         Trace { events, level }
-    }
-
-    /// Consumes the trace, returning its event list (used by the checkpoint
-    /// stitch, which concatenates a base prefix with merged arc deltas).
-    pub(crate) fn into_events(self) -> Vec<Event> {
-        self.events
     }
 
     /// The level this trace was recorded at.

@@ -10,7 +10,7 @@
 //!   denominator — the harness can never report a scheduler "beating" the
 //!   offline optimum;
 //! * the full ratio report is bit-identical (same FNV digest) whether the
-//!   engine runs sequentially or arc-parallel on shard counts {1, 2, 7};
+//!   engine runs through `run` or `par_run` on shard counts {1, 2, 7};
 //! * engine measurements are oracle-clean: a traced run of the same
 //!   instance passes the trace-replay oracle (and the `self-check`
 //!   feature re-asserts this inside the engine on every traced run);
@@ -77,8 +77,8 @@ proptest! {
         }
     }
 
-    /// The ratio report is bit-identical across executors: sequential and
-    /// arc-parallel shard counts {1, 2, 7} produce the same FNV digest.
+    /// The ratio report is bit-identical whether the engine is asked for
+    /// `run` or `par_run` on shard counts {1, 2, 7}: the same FNV digest.
     #[test]
     fn report_digest_is_shard_independent(case in arb_script()) {
         let (m, raw) = case;

@@ -12,7 +12,9 @@
 
 use ring_sched::dynamic::{build_dynamic_nodes, Arrival};
 use ring_sched::unit::{build_unit_nodes, UnitConfig};
-use ring_sim::{Engine, EngineConfig, Instance, Node, NodeCtx, Quiescence, RunReport, StepIo};
+use ring_sim::{
+    Engine, EngineConfig, Instance, Node, NodeCtx, Quiescence, RunReport, SimError, StepIo,
+};
 use ring_workloads::catalog::catalog_case;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +48,16 @@ impl<N: Node> Node for Counted<N> {
 /// Runs `nodes` to completion and returns the report with the number of
 /// `on_step` calls the run made.
 fn counted_run<N: Node>(nodes: Vec<N>, total: u64, config: EngineConfig) -> (RunReport, u64) {
+    counted_exec(nodes, total, config, Engine::run)
+}
+
+/// [`counted_run`] through the executor `exec`.
+fn counted_exec<N: Node>(
+    nodes: Vec<N>,
+    total: u64,
+    config: EngineConfig,
+    exec: impl FnOnce(&mut Engine<Counted<N>>) -> Result<RunReport, SimError>,
+) -> (RunReport, u64) {
     let calls = Arc::new(AtomicU64::new(0));
     let nodes = nodes
         .into_iter()
@@ -54,7 +66,7 @@ fn counted_run<N: Node>(nodes: Vec<N>, total: u64, config: EngineConfig) -> (Run
             calls: Arc::clone(&calls),
         })
         .collect();
-    let report = Engine::new(nodes, total, config).run().expect("run");
+    let report = exec(&mut Engine::new(nodes, total, config)).expect("run");
     (report, calls.load(Ordering::Relaxed))
 }
 
@@ -84,6 +96,23 @@ fn one_pile_costs_the_same_on_a_larger_ring() {
     assert_eq!(
         beyond_first_sweep[0], beyond_first_sweep[1],
         "(makespan, on_step calls after round 0) must not depend on the ring size"
+    );
+}
+
+/// `par_run` steps the same frontier as `run`: asking for shards buys no
+/// sweep of every node.
+#[test]
+fn par_run_makes_the_same_on_step_calls_as_run() {
+    let m = 65_536;
+    let inst = Instance::concentrated(m, 0, 10_000);
+    let nodes = || build_unit_nodes(&inst, &UnitConfig::c1());
+    let config = EngineConfig::default;
+    let (seq, seq_calls) = counted_run(nodes(), inst.total_work(), config());
+    let (par, par_calls) = counted_exec(nodes(), inst.total_work(), config(), |e| e.par_run(2));
+    assert_eq!(seq, par, "par_run(2) changed the report");
+    assert_eq!(
+        seq_calls, par_calls,
+        "par_run(2) made {par_calls} on_step calls where run made {seq_calls}"
     );
 }
 

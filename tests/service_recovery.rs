@@ -5,6 +5,7 @@
 
 use ring_service::{LogEntry, Service, ServiceConfig};
 use ring_sim::Snapshot;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// The scripted single-handle scenario: `(virtual time, processor, jobs)`.
@@ -65,10 +66,13 @@ fn interrupted(resume_cfg: ServiceConfig) -> (Vec<LogEntry>, u64, Vec<LogEntry>)
     assert!(report.outstanding > 0, "the drill must interrupt live work");
     drop(handles);
 
+    // One file per call: the tests run concurrently in one process, and a
+    // shared name lets one test remove the file another is reading.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "ringsvc-recovery-{}-{}.ringsnap",
         std::process::id(),
-        resume_cfg.executor.shards_for().map_or(0, |s| s)
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     snap.write_to_file(&path).expect("write snapshot");
     let restored_snap = Snapshot::read_from_file(&path).expect("read snapshot");
@@ -136,6 +140,6 @@ fn recovery_is_executor_independent() {
     assert_eq!(pre_seq, pre_par);
     assert_eq!(
         post_seq, post_par,
-        "resuming on the arc-parallel executor must not change the log"
+        "resuming under ExecutorMode::Parallel must not change the log"
     );
 }
