@@ -9,7 +9,8 @@
 
 use crate::get_u64;
 use ring_compete::{
-    compete_catalog, measure, policy_suite, render_table, report_digest, CaseRatio, Policy, Script,
+    compete_catalog, measure, measure_suite, policy_suite, render_table, report_digest, CaseRatio,
+    Policy, Script,
 };
 use ring_sched::dynamic::parse_arrivals;
 use std::collections::HashMap;
@@ -29,8 +30,9 @@ pub fn cmd_compete(flags: &HashMap<String, String>) {
     let scripts = select_scripts(flags);
     let mut rows: Vec<CaseRatio> = Vec::new();
     for script in &scripts {
-        for policy in &policies {
-            rows.push(measure(script, policy, shards));
+        match &policies {
+            None => rows.extend(measure_suite(script, shards)),
+            Some(picked) => rows.extend(picked.iter().map(|p| measure(script, p, shards))),
         }
     }
     print!("{}", render_table(&rows));
@@ -38,22 +40,19 @@ pub fn cmd_compete(flags: &HashMap<String, String>) {
     println!("(* = lower-bound denominator: the ratio is an upper estimate)");
 }
 
-fn select_policies(flags: &HashMap<String, String>) -> Vec<Policy> {
-    let suite = policy_suite();
-    match flags.get("policy").or_else(|| flags.get("alg")) {
-        None => suite,
-        Some(want) => {
-            let picked: Vec<Policy> = suite
-                .into_iter()
-                .filter(|p| p.name().eq_ignore_ascii_case(want))
-                .collect();
-            if picked.is_empty() {
-                eprintln!("unknown policy {want}; choose one of a1 b1 c1 a2 b2 c2 mig ml");
-                exit(2)
-            }
-            picked
-        }
+/// The `--policy`/`--alg` pick, or `None` for the whole suite (measured
+/// with one offline solve per script).
+fn select_policies(flags: &HashMap<String, String>) -> Option<Vec<Policy>> {
+    let want = flags.get("policy").or_else(|| flags.get("alg"))?;
+    let picked: Vec<Policy> = policy_suite()
+        .into_iter()
+        .filter(|p| p.name().eq_ignore_ascii_case(want))
+        .collect();
+    if picked.is_empty() {
+        eprintln!("unknown policy {want}; choose one of a1 b1 c1 a2 b2 c2 mig ml");
+        exit(2)
     }
+    Some(picked)
 }
 
 fn select_scripts(flags: &HashMap<String, String>) -> Vec<Script> {

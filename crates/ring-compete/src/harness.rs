@@ -154,8 +154,8 @@ impl CaseRatio {
 ///
 /// `_shards` is ignored: the ring engine has one executor
 /// (`ring_sim::Engine::par_run`). The online makespan is handed to
-/// the offline solver as its upper hint, so the exact search never scans
-/// past what the online run already achieved.
+/// the offline solver as its upper hint, which caps the solver's search
+/// and sizes its `SolverBudget` gate.
 ///
 /// # Panics
 ///
@@ -164,37 +164,59 @@ impl CaseRatio {
 /// an online run undercuts its own certified lower bound, which would be a
 /// soundness bug worth crashing on.
 pub fn measure(script: &Script, policy: &Policy, _shards: Option<usize>) -> CaseRatio {
-    let online = match policy {
+    let online = online_makespan(script, policy);
+    ratio_row(script, policy, online, &denominator(script, online))
+}
+
+/// Measures every policy in [`policy_suite`] on `script`.
+///
+/// The eight online runs come first; then one offline solve, hinted by the
+/// smallest online makespan, serves as every row's denominator (the
+/// denominator does not depend on the hint). The rows equal eight
+/// [`measure`] calls bit for bit, unless a larger hint would have tripped
+/// the solver budget where the smallest does not, in which case this
+/// returns the exact denominator `measure` could not.
+pub fn measure_suite(script: &Script, _shards: Option<usize>) -> Vec<CaseRatio> {
+    let suite = policy_suite();
+    let online: Vec<u64> = suite.iter().map(|p| online_makespan(script, p)).collect();
+    let hint = online.iter().copied().min().unwrap_or_default();
+    let denom = denominator(script, hint);
+    suite
+        .iter()
+        .zip(online)
+        .map(|(policy, online)| ratio_row(script, policy, online, &denom))
+        .collect()
+}
+
+fn online_makespan(script: &Script, policy: &Policy) -> u64 {
+    match policy {
         Policy::Engine(cfg) => {
-            let inst = script.dynamic();
-            run_dynamic(&inst, cfg)
+            run_dynamic(&script.dynamic(), cfg)
                 .unwrap_or_else(|e| panic!("{}/{}: engine error {e:?}", script.name, policy.name()))
                 .makespan
         }
         Policy::Assignment(p) => run_online(script.m, &script.arrivals, p).makespan,
-    };
-    let denom = offline_optimum(
+    }
+}
+
+fn denominator(script: &Script, hint: u64) -> OfflineOptimum {
+    offline_optimum(
         script.m,
         &script.releases(),
-        Some(online),
+        Some(hint),
         &SolverBudget::default(),
-    );
+    )
+}
+
+fn ratio_row(script: &Script, policy: &Policy, online: u64, denom: &OfflineOptimum) -> CaseRatio {
     CaseRatio {
         case: script.name.clone(),
         policy: policy.name(),
         online,
         denominator: denom.value(),
         exact: denom.is_exact(),
-        ratio: competitive_ratio(online, &denom),
+        ratio: competitive_ratio(online, denom),
     }
-}
-
-/// Measures every policy in [`policy_suite`] on `script`.
-pub fn measure_suite(script: &Script, shards: Option<usize>) -> Vec<CaseRatio> {
-    policy_suite()
-        .iter()
-        .map(|p| measure(script, p, shards))
-        .collect()
 }
 
 /// FNV-1a fingerprint of a ratio report (same construction as the service
@@ -257,6 +279,20 @@ mod tests {
         for row in measure_suite(&spike(), None) {
             assert!(row.ratio >= 1.0, "{row:?}");
             assert!(row.online >= row.denominator, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn suite_rows_equal_per_policy_measurements_on_the_catalog() {
+        let suite = policy_suite();
+        for script in crate::compete_catalog() {
+            let single: Vec<CaseRatio> = suite.iter().map(|p| measure(&script, p, None)).collect();
+            let rows = measure_suite(&script, None);
+            assert_eq!(rows.len(), single.len(), "{}", script.name);
+            for (a, b) in rows.iter().zip(&single) {
+                assert_eq!(a, b, "{}", script.name);
+                assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "{}", script.name);
+            }
         }
     }
 

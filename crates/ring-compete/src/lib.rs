@@ -6,7 +6,7 @@
 //! the loop between them. It takes any arrival script (or any service
 //! completion log, via the deterministic virtual-time protocol), re-solves
 //! the revealed instance *offline* with `ring-opt`'s exact solver —
-//! extended with release-time-aware lower bounds where the flow solver
+//! extended with release-time-aware lower bounds where the exact solver
 //! does not apply — and reports the empirical competitive ratio
 //! `online makespan / offline optimum`.
 //!

@@ -1,9 +1,9 @@
 //! Regenerates Figures 2–7 of the paper.
 //!
 //! ```text
-//! cargo run --release -p ring-experiments --bin figures            # all six
+//! cargo run --release -p ring-experiments --bin figures            # all six, seconds
 //! cargo run --release -p ring-experiments --bin figures -- --alg c1
-//! cargo run --release -p ring-experiments --bin figures -- --fast  # LB denominators for big cases
+//! cargo run --release -p ring-experiments --bin figures -- --fast  # budget gate: LB denominators for big cases
 //! ```
 
 use ring_experiments::report::{render_figure, render_summary};

@@ -1,19 +1,25 @@
-//! Exact optimum makespan via binary search over feasibility tests.
+//! Exact optimum makespan: the smallest feasible `T` under a monotone
+//! feasibility test.
 //!
-//! For each link model we binary-search the smallest feasible `T`:
+//! * uncapacitated ring — [`crate::staircase::feasible`], the closed-form
+//!   min cut (no flow network);
+//! * uncapacitated, any metric — [`crate::staircase::metric_feasible`],
+//!   Dinic on the staircase network (the torus uses it);
+//! * unit-capacity ring — [`crate::timeexp::feasible`], Dinic on the
+//!   time-expanded network of §7.
 //!
-//! * uncapacitated — [`crate::staircase::feasible`];
-//! * unit-capacity — [`crate::timeexp::feasible`].
-//!
-//! The search is seeded from below by the closed-form lower bounds of
-//! [`crate::bounds`] and from above by a caller-provided hint (typically
-//! the makespan an algorithm just achieved) or, failing that, by doubling.
+//! The search gallops up from the closed-form lower bounds of
+//! [`crate::bounds`] (`lb`, `lb + 1`, `lb + 3`, …), capped by a
+//! caller-provided hint (typically the makespan an algorithm just
+//! achieved), then bisects the last bracket.
 //!
 //! Mirroring §6.2 of the paper — where "some instances' optimum schedule
 //! lengths still eluded us" and lower bounds were substituted — the solver
 //! takes a [`SolverBudget`]; when the feasibility network for the search
 //! range would exceed it, the solver returns
-//! [`OptResult::LowerBoundOnly`] instead of thrashing.
+//! [`OptResult::LowerBoundOnly`] instead of thrashing. The ring test builds
+//! no network, but its gate still estimates the staircase network, so the
+//! fall-back decisions (and `--fast` output) are the flow solver's.
 
 use crate::bounds::{capacitated_lower_bound, uncapacitated_lower_bound};
 use crate::{staircase, timeexp};
@@ -62,27 +68,33 @@ impl OptResult {
     }
 }
 
-fn binary_search_optimum(
+/// The smallest feasible makespan at or above `lower`, a valid lower bound
+/// on it; `feasible` must be monotone in `T`.
+///
+/// Test cost grows with `T`, and an online hint is often about twice the
+/// optimum, so the search gallops up from the bound (`lower`, `lower + 1`,
+/// `lower + 3`, `lower + 7`, …, capped by the hint) and bisects only the
+/// last bracket. A hint below the optimum is overtaken and galloping goes
+/// on past it.
+fn gallop_optimum(
     lower: u64,
     upper_hint: Option<u64>,
     mut feasible: impl FnMut(u64) -> bool,
 ) -> u64 {
-    // Establish a feasible upper bound.
-    let mut hi = match upper_hint {
-        Some(h) if h >= lower => h,
-        _ => lower.max(1),
+    // Invariant: every makespan below `lo` is infeasible.
+    let mut lo = lower;
+    let mut span = 1u64;
+    let mut hi = loop {
+        let mut probe = lower.saturating_add(span - 1).max(lo);
+        if let Some(h) = upper_hint.filter(|&h| h >= lo) {
+            probe = probe.min(h);
+        }
+        if feasible(probe) {
+            break probe;
+        }
+        lo = probe + 1;
+        span = span.saturating_mul(2);
     };
-    while !feasible(hi) {
-        hi = hi.saturating_mul(2).max(1);
-    }
-    let mut lo = lower; // invariant: everything < lo is infeasible … almost:
-                        // `lower` itself may be feasible, so search [lo, hi].
-    if lo == hi {
-        return lo;
-    }
-    // Invariant: hi feasible, lo-1 infeasible? `lower-1` is infeasible by
-    // the bound's validity; check lo itself first to keep the classic
-    // half-open invariant.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if feasible(mid) {
@@ -91,14 +103,17 @@ fn binary_search_optimum(
             lo = mid + 1;
         }
     }
-    lo
+    hi
 }
 
 /// Exact optimal makespan on an uncapacitated ring, subject to the budget.
 ///
 /// `upper_hint` should be a makespan known to be achievable (e.g. from a
-/// simulation run); it tightens the search and, importantly, bounds the
-/// largest network the solver must build.
+/// simulation run); it caps the gallop of the search. The feasibility test
+/// is the closed-form cut of [`staircase`] and builds no flow network; the
+/// budget gate still estimates the staircase network at the hint (or at
+/// `8 × lower bound` without one), so `LowerBoundOnly` answers are the
+/// same ones the flow solver gave.
 pub fn optimum_uncapacitated(
     instance: &Instance,
     upper_hint: Option<u64>,
@@ -108,13 +123,13 @@ pub fn optimum_uncapacitated(
     if instance.total_work() == 0 {
         return OptResult::Exact(0);
     }
-    // The largest network we could build during the search is at the upper
-    // end of the range.
+    // The largest staircase network the search range spans is at its upper
+    // end.
     let probe_t = upper_hint.unwrap_or(lb.saturating_mul(8).max(16));
     if staircase::network_size_estimate(instance, probe_t) > budget.max_network_edges {
         return OptResult::LowerBoundOnly(lb);
     }
-    OptResult::Exact(binary_search_optimum(lb, upper_hint, |t| {
+    OptResult::Exact(gallop_optimum(lb, upper_hint, |t| {
         staircase::feasible(instance, t)
     }))
 }
@@ -124,7 +139,7 @@ pub fn optimum_uncapacitated(
 ///
 /// This is the topology-generic face of [`optimum_uncapacitated`]: the
 /// staircase feasibility argument ([`staircase::metric_feasible`]) never
-/// uses ring structure, so binary search over it is exact for meshes,
+/// uses ring structure, so the search over it is exact for meshes,
 /// tori, hierarchies — any metric. `lower` must be a valid lower bound on
 /// the optimum (it seeds the search from below and is returned verbatim
 /// when the budget is exceeded); `diameter` must bound `dist(i, j)` over
@@ -149,7 +164,7 @@ pub fn metric_optimum(
     if est > budget.max_network_edges {
         return OptResult::LowerBoundOnly(lower);
     }
-    OptResult::Exact(binary_search_optimum(lower, upper_hint, |t| {
+    OptResult::Exact(gallop_optimum(lower, upper_hint, |t| {
         staircase::metric_feasible(loads, dist, diameter, t)
     }))
 }
@@ -168,7 +183,7 @@ pub fn optimum_capacitated(
     if timeexp::network_size_estimate(instance, probe_t) > budget.max_network_edges {
         return OptResult::LowerBoundOnly(lb);
     }
-    OptResult::Exact(binary_search_optimum(lb, upper_hint, |t| {
+    OptResult::Exact(gallop_optimum(lb, upper_hint, |t| {
         timeexp::feasible(instance, t)
     }))
 }
@@ -219,6 +234,9 @@ mod tests {
         // A hint exactly equal to OPT also works.
         let tight = optimum_uncapacitated(&inst, Some(free), &SolverBudget::default());
         assert_eq!(tight, OptResult::Exact(free));
+        // A hint below OPT is overtaken, not trusted.
+        let low = optimum_uncapacitated(&inst, Some(free - 3), &SolverBudget::default());
+        assert_eq!(low, OptResult::Exact(free));
     }
 
     #[test]

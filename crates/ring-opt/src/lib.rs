@@ -9,17 +9,20 @@
 //!   for unit-capacity links (§7).
 //! * [`flow`] — a self-contained Dinic max-flow solver.
 //! * [`staircase`] — feasibility of a target makespan `T` on an
-//!   *uncapacitated* ring, via a distance-staircase transportation network.
+//!   *uncapacitated* network, via a distance-staircase transportation
+//!   network: on a ring its min cut in closed form, checked by concave line
+//!   DPs with no flow network; on any other metric by Dinic.
 //! * [`timeexp`] — feasibility of `T` on a *unit-capacity* ring, via a
 //!   time-expanded flow network.
-//! * [`exact`] — binary-search optimum solvers built on the feasibility
-//!   tests, with a size budget and graceful fall-back to lower bounds
-//!   (mirroring §6.2, where some optima "eluded" the authors and lower
-//!   bounds were used instead).
+//! * [`exact`] — optimum solvers that gallop up from the lower bound over
+//!   the feasibility tests, with a size budget and graceful fall-back to
+//!   lower bounds (mirroring §6.2, where some optima "eluded" the authors
+//!   and lower bounds were used instead).
 //!
 //! The authors mention an unpublished `m²`-space method for exact optima
-//! improving on Deng et al.; our flow-based solver is a documented
-//! substitution that is still *exact* (see DESIGN.md §5).
+//! improving on Deng et al.; our min-cut solver is a documented
+//! substitution that is still *exact* (see DESIGN.md §5). Dinic remains for
+//! the torus, the §7 network, and as the ring test's oracle.
 //!
 //! ```
 //! use ring_sim::Instance;

@@ -2,7 +2,7 @@
 //! ratio.
 //!
 //! The paper's offline model has every job present at `t = 0`, where the
-//! flow solvers of [`crate::exact`] compute the optimum exactly. An
+//! solvers of [`crate::exact`] compute the optimum exactly. An
 //! *online* instance reveals work over time, and the exact solvers do not
 //! model release times. This module closes the gap the way §6.2 of the
 //! paper closes its own ("some instances' optimum schedule lengths still
@@ -10,7 +10,7 @@
 //!
 //! * **Single release wave** (all work released at one time `r`): the
 //!   optimum is exactly `r + OPT(loads)` — before `r` nothing exists, and
-//!   from `r` on the problem *is* the static one. The flow solver applies
+//!   from `r` on the problem *is* the static one. The exact solver applies
 //!   and the result is flagged [`OfflineOptimum::Exact`].
 //! * **Multiple release waves**: for every release time `r`, the work
 //!   released at or after `r` cannot be processed before `r`, and
@@ -46,10 +46,10 @@ pub struct Release {
 /// The offline denominator for a revealed instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OfflineOptimum {
-    /// The exact dynamic optimum (single release wave, solved by flow).
+    /// The exact dynamic optimum (single release wave, solved exactly).
     Exact(u64),
     /// A certified lower bound on the dynamic optimum (multiple release
-    /// waves, or the flow solver exceeded its budget). Ratios against it
+    /// waves, or the solver exceeded its budget). Ratios against it
     /// are pessimistic, as in the paper's §6.2.
     LowerBound(u64),
 }
@@ -79,7 +79,7 @@ fn suffix_instance(m: usize, releases: &[Release], from: u64) -> Instance {
 /// The offline optimum (or certified lower bound) of a revealed instance.
 ///
 /// `upper_hint` should be a makespan an online run actually achieved — it
-/// bounds the flow networks the per-suffix searches must build.
+/// caps each per-suffix search and sizes its budget gate.
 ///
 /// # Panics
 ///
