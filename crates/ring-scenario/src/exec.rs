@@ -145,13 +145,11 @@ fn apply_executor(plan: &Plan, mut cfg: UnitConfig) -> UnitConfig {
     cfg
 }
 
-/// Builds the row's trace file when the plan asked for one.
-fn capture_trace(plan: &Plan, report: &RunReport, meta: &str) -> Option<TraceFile> {
-    if plan.trace_full {
-        Some(TraceFile::from_report(report, plan.faults.as_ref(), meta))
-    } else {
-        None
-    }
+/// Builds the row's trace file when the plan asked for one, moving the
+/// report's event log into it.
+fn capture_trace(plan: &Plan, report: RunReport, meta: &str) -> Option<TraceFile> {
+    plan.trace_full
+        .then(|| TraceFile::from_owned_report(report, plan.faults.as_ref(), meta))
 }
 
 fn run_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
@@ -171,7 +169,7 @@ fn run_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
                 case: case.clone(),
                 algorithm: alg.clone(),
                 makespan: run.makespan,
-                trace: capture_trace(plan, &run.report, &meta),
+                trace: capture_trace(plan, run.report, &meta),
             });
         }
     }
@@ -243,7 +241,7 @@ fn run_fabric_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
         case,
         algorithm: algo.name().to_string(),
         makespan: report.makespan,
-        trace: capture_trace(plan, &report, &meta),
+        trace: capture_trace(plan, report, &meta),
     }])
 }
 
@@ -264,7 +262,7 @@ fn run_arrivals(plan: &Plan) -> Result<Vec<PlanRow>, String> {
             case: case.clone(),
             algorithm: alg.clone(),
             makespan: run.makespan,
-            trace: capture_trace(plan, &run.report, &meta),
+            trace: capture_trace(plan, run.report, &meta),
         });
     }
     Ok(rows)

@@ -42,7 +42,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::checkpoint::{self, CheckpointError, Decoder, Encoder, Persist, Snapshot, StagedBlob};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultTable, LinkState};
 use crate::metrics::{Metrics, Observability, StepSample};
 use crate::topology::{Direction, RingTopology};
 use crate::trace::{DropKind, Event, Trace, TraceLevel};
@@ -642,11 +642,12 @@ pub(crate) struct LinkDeparture {
 /// bandwidth cap (head-of-line blocking keeps FIFO order), and everything
 /// still eligible but held back is counted as dropped or delayed.
 ///
-/// Pure in `(plan, node, dir, t)` and the queue state. With no active
-/// fault this moves every staged message straight through — bit-identical
-/// to the un-faulted engine.
+/// Pure in `(plan, node, dir, t)` and the queue state; the link's fault
+/// state is read with one table lookup. With no active fault this moves
+/// every staged message straight through — bit-identical to the
+/// un-faulted engine.
 pub(crate) fn transmit<M: Payload>(
-    plan: &FaultPlan,
+    faults: &FaultTable,
     node: usize,
     dir: Direction,
     t: u64,
@@ -654,7 +655,7 @@ pub(crate) fn transmit<M: Payload>(
     queue: &mut LinkQueue<M>,
     dest: &mut Vec<M>,
 ) -> LinkDeparture {
-    let delay = plan.link_delay(node, dir, t);
+    let LinkState { down, delay, cap } = faults.link(node, dir, t);
     for msg in staged.drain(..) {
         queue.push_back(Staged {
             ready: t + delay,
@@ -663,8 +664,6 @@ pub(crate) fn transmit<M: Payload>(
         });
     }
     let mut dep = LinkDeparture::default();
-    let down = plan.link_down(node, dir, t);
-    let cap = plan.link_cap(node, dir, t);
     if !down {
         while let Some(head) = queue.front() {
             if head.ready > t {
@@ -761,11 +760,11 @@ fn payload_of<M: Payload>(msgs: &[M]) -> u64 {
 }
 
 /// The per-node fault state one step of [`step_node_and_links`] works
-/// through: the plan, the node's two directed link queues, and the two
-/// staging buffers sends are metered out of (shared across nodes — always
-/// drained within the step).
+/// through: the run's fault table, the node's two directed link queues,
+/// and the two staging buffers sends are metered out of (shared across
+/// nodes — always drained within the step).
 struct FaultLinks<'a, M> {
-    plan: &'a FaultPlan,
+    table: &'a FaultTable,
     queue_cw: &'a mut LinkQueue<M>,
     queue_ccw: &'a mut LinkQueue<M>,
     stage_cw: &'a mut Vec<M>,
@@ -793,7 +792,7 @@ fn step_node_and_links<N: Node>(
 ) -> Result<(NodeStep, LinkDeparture, LinkDeparture), SimError> {
     match faults {
         Some(f) => {
-            let step = if f.plan.node_runs(ctx.id, ctx.t) {
+            let step = if f.table.node_runs(ctx.id, ctx.t) {
                 drive_node(
                     node,
                     ctx,
@@ -809,7 +808,7 @@ fn step_node_and_links<N: Node>(
             };
             // Links drain even while their owner is stalled.
             let dep_cw = transmit(
-                f.plan,
+                f.table,
                 ctx.id,
                 Direction::Cw,
                 ctx.t,
@@ -818,7 +817,7 @@ fn step_node_and_links<N: Node>(
                 to_cw,
             );
             let dep_ccw = transmit(
-                f.plan,
+                f.table,
                 ctx.id,
                 Direction::Ccw,
                 ctx.t,
@@ -1627,8 +1626,10 @@ impl<N: Node> Engine<N> {
         // Fault state: per-node per-direction link queues plus two scratch
         // buffers nodes stage their sends into before `transmit` meters them
         // onto the (possibly degraded) links. Allocated only when a plan is
-        // set; without one the arenas are written directly.
+        // set; without one the arenas are written directly. The plan's
+        // per-step queries read a table laid out for this ring.
         let plan = self.config.faults.as_ref();
+        let table = plan.map(|p| FaultTable::new(p, m));
         let qm = if plan.is_some() { m } else { 0 };
 
         // Double-buffered message arenas, indexed by *receiving* node:
@@ -1888,10 +1889,11 @@ impl<N: Node> Engine<N> {
 
             // A stalled processor does not consume its inbox: carry the
             // undelivered messages over to its next step before anyone
-            // writes this round's sends (so they stay in front).
-            if let Some(plan) = plan {
-                for i in 0..m {
-                    if !plan.node_runs(i, t) {
+            // writes this round's sends (so they stay in front). Only a
+            // node with processor faults can stall.
+            if let Some(table) = &table {
+                for &i in table.stallable() {
+                    if !table.node_runs(i, t) {
                         round_departed += (cur_cw[i].len() + cur_ccw[i].len()) as u64;
                         next_cw[i].append(&mut cur_cw[i]);
                         next_ccw[i].append(&mut cur_ccw[i]);
@@ -1927,8 +1929,8 @@ impl<N: Node> Engine<N> {
                 // `FaultLinks` keeps one writer per destination slot even
                 // when a plan reroutes departures through link queues.
                 let (step, dep_cw, dep_ccw) = {
-                    let faults = plan.map(|plan| FaultLinks {
-                        plan,
+                    let faults = table.as_ref().map(|table| FaultLinks {
+                        table,
                         queue_cw: &mut queue_cw[i],
                         queue_ccw: &mut queue_ccw[i],
                         stage_cw: &mut stage_cw,

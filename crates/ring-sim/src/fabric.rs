@@ -54,7 +54,7 @@ use crate::engine::{
     SpanOutcome, Staged, StepIo,
 };
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultTable};
 use crate::metrics::Metrics;
 use crate::topology::{Direction, RingTopology};
 use crate::trace::{Event, Trace, TraceLevel};
@@ -320,7 +320,7 @@ fn step_cell<N: FabricNode>(
     inbox: &mut Vec<(usize, N::Msg)>,
     queue_cw: &mut LinkQueue<N::Msg>,
     queue_ccw: &mut LinkQueue<N::Msg>,
-    plan: Option<&FaultPlan>,
+    faults: Option<&FaultTable>,
     link_capacity: LinkCapacity,
     record: bool,
     sends: &mut Vec<(usize, N::Msg)>,
@@ -330,10 +330,7 @@ fn step_cell<N: FabricNode>(
 ) -> Result<u64, SimError> {
     sends.clear();
     let degree = topo.degree(i);
-    let runs = match plan {
-        Some(p) => p.node_runs(i, t),
-        None => true,
-    };
+    let runs = faults.map_or(true, |f| f.node_runs(i, t));
     let work_done = if runs {
         let ctx = FabricCtx { id: i, t, topo };
         let mut outbox = FabricOutbox { degree, sends };
@@ -387,7 +384,7 @@ fn step_cell<N: FabricNode>(
     // With a plan the ring pair (ports 0/1) is metered by `transmit`
     // over the node's fault queues — which must drain every round, even
     // when nothing new was pushed (and even while the owner is stalled).
-    if let Some(plan) = plan {
+    if let Some(faults) = faults {
         let mut staged: Vec<N::Msg> = Vec::new();
         let mut departed: Vec<N::Msg> = Vec::new();
         for (port, dir) in [(0usize, Direction::Cw), (1usize, Direction::Ccw)] {
@@ -404,7 +401,7 @@ fn step_cell<N: FabricNode>(
                 &mut *queue_ccw
             };
             departed.clear();
-            let dep = transmit(plan, i, dir, t, &mut staged, queue, &mut departed);
+            let dep = transmit(faults, i, dir, t, &mut staged, queue, &mut departed);
             delta.dropped += dep.dropped;
             delta.delayed += dep.delayed;
             delta.retried += dep.retried;
@@ -558,12 +555,20 @@ impl<N: FabricNode> Fabric<N> {
     fn drive_seq(&mut self, pause_at: Option<u64>) -> Result<SpanOutcome, SimError> {
         assert!(!self.finished, "fabric already finished");
         let max_steps = self.max_steps();
+        let faults = self.fault_table();
         loop {
             if let Some(outcome) = self.boundary(pause_at, max_steps)? {
                 return Ok(outcome);
             }
-            self.seq_round()?;
+            self.seq_round(faults.as_ref())?;
         }
+    }
+
+    /// The fault plan laid out for this fabric's nodes, built once per
+    /// `run`/`par_run` span.
+    fn fault_table(&self) -> Option<FaultTable> {
+        let n = self.topo.len();
+        self.config.faults.as_ref().map(|p| FaultTable::new(p, n))
     }
 
     fn finish(&mut self) -> RunReport {
@@ -622,9 +627,9 @@ impl<N: FabricNode> Fabric<N> {
 
     /// One sequential round: carry stalled inboxes over, step every node,
     /// deliver into the spare buffers, swap.
-    fn seq_round(&mut self) -> Result<(), SimError> {
-        // Destructured so the plan is borrowed from `config` while the
-        // other fields are written.
+    fn seq_round(&mut self, faults: Option<&FaultTable>) -> Result<(), SimError> {
+        // Destructured so `config` is read while the other fields are
+        // written.
         let Fabric {
             topo,
             nodes,
@@ -641,8 +646,7 @@ impl<N: FabricNode> Fabric<N> {
         } = self;
         let t = *t;
         let record = matches!(config.trace, TraceLevel::Full);
-        let plan = config.faults.as_ref();
-        carry_stalled(plan, t, cur, spare);
+        carry_stalled(faults, t, cur, spare);
         let mut sends = Vec::new();
         let mut out = Vec::new();
         let mut events = Vec::new();
@@ -656,7 +660,7 @@ impl<N: FabricNode> Fabric<N> {
                 &mut cur[i],
                 &mut queue_cw[i],
                 &mut queue_ccw[i],
-                plan,
+                faults,
                 config.link_capacity,
                 record,
                 &mut sends,
@@ -679,12 +683,13 @@ impl<N: FabricNode> Fabric<N> {
 
 /// A stalled processor does not consume its inbox: carry it over before
 /// anyone writes this round's sends (carried messages must precede every
-/// sender's in the destination inbox).
-fn carry_stalled<T>(plan: Option<&FaultPlan>, t: u64, cur: &mut [Vec<T>], spare: &mut [Vec<T>]) {
-    let Some(plan) = plan else { return };
-    for (i, (cur, spare)) in cur.iter_mut().zip(spare).enumerate() {
-        if !plan.node_runs(i, t) {
-            spare.append(cur);
+/// sender's in the destination inbox). Only a node with processor faults
+/// can stall.
+fn carry_stalled<T>(faults: Option<&FaultTable>, t: u64, cur: &mut [Vec<T>], spare: &mut [Vec<T>]) {
+    let Some(faults) = faults else { return };
+    for &i in faults.stallable() {
+        if !faults.node_runs(i, t) {
+            spare[i].append(&mut cur[i]);
         }
     }
 }
@@ -717,7 +722,7 @@ fn run_shard<N: FabricNode>(
     task: ShardTask<'_, N>,
     topo: &AnyTopology,
     t: u64,
-    plan: Option<&FaultPlan>,
+    faults: Option<&FaultTable>,
     link_capacity: LinkCapacity,
     record: bool,
 ) -> Result<ShardOut<N::Msg>, SimError> {
@@ -738,7 +743,7 @@ fn run_shard<N: FabricNode>(
             &mut task.cur[j],
             &mut task.queue_cw[j],
             &mut task.queue_ccw[j],
-            plan,
+            faults,
             link_capacity,
             record,
             &mut sends,
@@ -777,18 +782,23 @@ where
         assert!(!self.finished, "fabric already finished");
         let max_steps = self.max_steps();
         let cuts = self.topo.cuts(shards);
+        let faults = self.fault_table();
         loop {
             if let Some(outcome) = self.boundary(pause_at, max_steps)? {
                 return Ok(outcome);
             }
-            self.par_round(&cuts)?;
+            self.par_round(&cuts, faults.as_ref())?;
         }
     }
 
     /// One parallel round over fixed cuts: carry stalled inboxes, split
     /// the per-node state into per-shard slices, run shards concurrently,
     /// merge their effects in shard order (= node order).
-    fn par_round(&mut self, cuts: &[std::ops::Range<usize>]) -> Result<(), SimError> {
+    fn par_round(
+        &mut self,
+        cuts: &[std::ops::Range<usize>],
+        faults: Option<&FaultTable>,
+    ) -> Result<(), SimError> {
         let Fabric {
             topo,
             nodes,
@@ -806,8 +816,7 @@ where
         let t = *t;
         let topo = &*topo;
         let record = matches!(config.trace, TraceLevel::Full);
-        let plan = config.faults.as_ref();
-        carry_stalled(plan, t, cur, spare);
+        carry_stalled(faults, t, cur, spare);
 
         // Slice the id space along the cuts. `cuts` partitions `0..n` in
         // order (a Topology contract, asserted by the trait tests), so
@@ -868,7 +877,7 @@ where
             };
             let Some(task) = task else { break };
             let idx = task.idx;
-            let res = run_shard(task, topo, t, plan, link_capacity, record);
+            let res = run_shard(task, topo, t, faults, link_capacity, record);
             *slots[idx].lock().expect("result slot poisoned") = Some(res);
         };
         std::thread::scope(|scope| {

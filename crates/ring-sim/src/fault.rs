@@ -24,6 +24,11 @@
 //! plus the `add_*` methods), generated from a seed ([`FaultPlan::random`] —
 //! an internal splitmix64, no external RNG dependency), or parsed from the
 //! CLI spec grammar ([`FaultPlan::parse`]).
+//!
+//! A plan is kept as the two lists it was built from, in insertion order.
+//! Runs and oracle checks do not scan them: each lays the plan out once,
+//! as a crate-internal `FaultTable` sized by the ring, whose per-step
+//! queries read only the faults of the node they ask about.
 
 use crate::topology::Direction;
 use serde::{Deserialize, Serialize};
@@ -131,54 +136,6 @@ impl FaultPlan {
         let link = self.link_faults.iter().map(|f| f.until).max().unwrap_or(0);
         let proc = self.proc_faults.iter().map(|f| f.until).max().unwrap_or(0);
         link.max(proc)
-    }
-
-    /// Whether processor `node` executes step `t` (false while stalled or
-    /// in a skipped slowdown phase; all active faults must allow the step).
-    pub fn node_runs(&self, node: usize, t: u64) -> bool {
-        self.proc_faults
-            .iter()
-            .filter(|f| f.node == node && f.from <= t && t < f.until)
-            .all(|f| match f.kind {
-                ProcFaultKind::Stall => false,
-                ProcFaultKind::Slowdown(k) => k <= 1 || (t - f.from) % k == 0,
-            })
-    }
-
-    /// Whether the directed link `(node, dir)` is down (dropping) at step
-    /// `t`.
-    pub fn link_down(&self, node: usize, dir: Direction, t: u64) -> bool {
-        self.active_link(node, dir, t)
-            .any(|f| matches!(f.kind, LinkFaultKind::Drop))
-    }
-
-    /// The delay imposed on messages entering the link at step `t` (max of
-    /// all active delay faults; 0 if none).
-    pub fn link_delay(&self, node: usize, dir: Direction, t: u64) -> u64 {
-        self.active_link(node, dir, t)
-            .filter_map(|f| match f.kind {
-                LinkFaultKind::Delay(d) => Some(d),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The payload cap on the link at step `t` (min of all active bandwidth
-    /// faults; `None` if uncapped).
-    pub fn link_cap(&self, node: usize, dir: Direction, t: u64) -> Option<u64> {
-        self.active_link(node, dir, t)
-            .filter_map(|f| match f.kind {
-                LinkFaultKind::Bandwidth(c) => Some(c),
-                _ => None,
-            })
-            .min()
-    }
-
-    fn active_link(&self, node: usize, dir: Direction, t: u64) -> impl Iterator<Item = &LinkFault> {
-        self.link_faults
-            .iter()
-            .filter(move |f| f.node == node && f.dir == dir && f.from <= t && t < f.until)
     }
 
     /// A seeded random plan for an `m`-ring with all epochs inside
@@ -371,6 +328,135 @@ impl FaultPlan {
     }
 }
 
+/// A directed link's fault state at one step, as [`FaultTable::link`]
+/// reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct LinkState {
+    /// Some active fault drops everything.
+    pub(crate) down: bool,
+    /// Delay imposed on messages entering the link (max over the active
+    /// delay faults; 0 if none).
+    pub(crate) delay: u64,
+    /// Payload cap (min over the active bandwidth faults; `None` if
+    /// uncapped).
+    pub(crate) cap: Option<u64>,
+}
+
+/// A [`FaultPlan`] laid out for the per-step queries of one `m`-node run.
+///
+/// The faults are grouped by node in CSR form: `proc_start[i]..
+/// proc_start[i + 1]` are node `i`'s processor faults in `procs`, and
+/// `link_start[2i + d]..link_start[2i + d + 1]` the link faults on `(i, d)`
+/// (`d = 0` cw, `1` ccw) in `links`. A query reads only its own group, so
+/// a node with no faults costs two index loads. Faults on nodes `≥ m` (a
+/// plan built with [`FaultPlan::add_link_fault`] is not range-checked, and
+/// a corrupted trace may name any node) share one trailing group per kind
+/// and direction, which queries filter by node — so the table is sized by
+/// `m`, never by a node id, and answers every node as the plan defines.
+///
+/// The engine, the fabric and the oracle build one when a run or a check
+/// starts; the plan itself stays a plain list, so building, parsing and
+/// rendering it cost what they did.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultTable {
+    m: usize,
+    proc_start: Vec<usize>,
+    procs: Vec<ProcFault>,
+    link_start: Vec<usize>,
+    links: Vec<LinkFault>,
+    /// Nodes `< m` with at least one processor fault, ascending: the only
+    /// ones that can ever skip a step.
+    stallable: Vec<usize>,
+}
+
+impl FaultTable {
+    /// Lays `plan` out for a run over nodes `0..m`.
+    pub(crate) fn new(plan: &FaultPlan, m: usize) -> Self {
+        let (proc_start, procs) = group(&plan.proc_faults, m + 1, |f| f.node.min(m));
+        let (link_start, links) = group(&plan.link_faults, 2 * (m + 1), |f| {
+            link_slot(f.node.min(m), f.dir)
+        });
+        let stallable = (0..m)
+            .filter(|&i| proc_start[i] < proc_start[i + 1])
+            .collect();
+        FaultTable {
+            m,
+            proc_start,
+            procs,
+            link_start,
+            links,
+            stallable,
+        }
+    }
+
+    /// Nodes that have processor faults, ascending. Every other node runs
+    /// every step.
+    pub(crate) fn stallable(&self) -> &[usize] {
+        &self.stallable
+    }
+
+    /// Whether processor `node` executes step `t` (false while stalled or
+    /// in a skipped slowdown phase; all active faults must allow the step).
+    pub(crate) fn node_runs(&self, node: usize, t: u64) -> bool {
+        let slot = node.min(self.m);
+        self.procs[self.proc_start[slot]..self.proc_start[slot + 1]]
+            .iter()
+            .filter(|f| f.node == node && f.from <= t && t < f.until)
+            .all(|f| match f.kind {
+                ProcFaultKind::Stall => false,
+                ProcFaultKind::Slowdown(k) => k <= 1 || (t - f.from) % k == 0,
+            })
+    }
+
+    /// The state of the directed link `(node, dir)` at step `t`: down if
+    /// any active fault drops, the largest active delay, the smallest
+    /// active cap.
+    pub(crate) fn link(&self, node: usize, dir: Direction, t: u64) -> LinkState {
+        let slot = link_slot(node.min(self.m), dir);
+        let mut state = LinkState::default();
+        for f in &self.links[self.link_start[slot]..self.link_start[slot + 1]] {
+            if f.node != node || t < f.from || t >= f.until {
+                continue;
+            }
+            match f.kind {
+                LinkFaultKind::Drop => state.down = true,
+                LinkFaultKind::Delay(d) => state.delay = state.delay.max(d),
+                LinkFaultKind::Bandwidth(c) => {
+                    state.cap = Some(state.cap.map_or(c, |cap| cap.min(c)))
+                }
+            }
+        }
+        state
+    }
+}
+
+fn link_slot(node: usize, dir: Direction) -> usize {
+    match dir {
+        Direction::Cw => 2 * node,
+        Direction::Ccw => 2 * node + 1,
+    }
+}
+
+/// Counting-sorts `faults` into `slots` groups (stable, so each group keeps
+/// plan order): returns the `slots + 1` group starts and the grouped faults.
+fn group<F: Copy>(faults: &[F], slots: usize, slot: impl Fn(&F) -> usize) -> (Vec<usize>, Vec<F>) {
+    let mut start = vec![0usize; slots + 1];
+    for f in faults {
+        start[slot(f) + 1] += 1;
+    }
+    for s in 1..=slots {
+        start[s] += start[s - 1];
+    }
+    let mut grouped = faults.to_vec();
+    let mut at = start.clone();
+    for f in faults {
+        let s = slot(f);
+        grouped[at[s]] = *f;
+        at[s] += 1;
+    }
+    (start, grouped)
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str, entry: &str) -> Result<T, String> {
     s.trim()
         .parse()
@@ -421,10 +507,10 @@ mod tests {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert_eq!(plan.horizon(), 0);
-        assert!(plan.node_runs(0, 0));
-        assert!(!plan.link_down(0, Direction::Cw, 0));
-        assert_eq!(plan.link_delay(0, Direction::Cw, 0), 0);
-        assert_eq!(plan.link_cap(0, Direction::Cw, 0), None);
+        let table = FaultTable::new(&plan, 1);
+        assert!(table.node_runs(0, 0));
+        assert!(table.stallable().is_empty());
+        assert_eq!(table.link(0, Direction::Cw, 0), LinkState::default());
     }
 
     #[test]
@@ -437,13 +523,15 @@ mod tests {
             until: 8,
             kind: LinkFaultKind::Drop,
         });
-        assert!(!plan.link_down(2, Direction::Cw, 4));
-        assert!(plan.link_down(2, Direction::Cw, 5));
-        assert!(plan.link_down(2, Direction::Cw, 7));
-        assert!(!plan.link_down(2, Direction::Cw, 8));
+        let table = FaultTable::new(&plan, 4);
+        let down = |node, dir, t| table.link(node, dir, t).down;
+        assert!(!down(2, Direction::Cw, 4));
+        assert!(down(2, Direction::Cw, 5));
+        assert!(down(2, Direction::Cw, 7));
+        assert!(!down(2, Direction::Cw, 8));
         // Other links are unaffected.
-        assert!(!plan.link_down(2, Direction::Ccw, 6));
-        assert!(!plan.link_down(3, Direction::Cw, 6));
+        assert!(!down(2, Direction::Ccw, 6));
+        assert!(!down(3, Direction::Cw, 6));
         assert_eq!(plan.horizon(), 8);
     }
 
@@ -465,8 +553,9 @@ mod tests {
                 kind,
             });
         }
-        assert_eq!(plan.link_delay(0, Direction::Ccw, 4), 3);
-        assert_eq!(plan.link_cap(0, Direction::Ccw, 4), Some(2));
+        let link = FaultTable::new(&plan, 1).link(0, Direction::Ccw, 4);
+        assert_eq!(link.delay, 3);
+        assert_eq!(link.cap, Some(2));
     }
 
     #[test]
@@ -484,12 +573,14 @@ mod tests {
             until: 16,
             kind: ProcFaultKind::Slowdown(3),
         });
-        assert!(plan.node_runs(1, 1));
-        assert!(!plan.node_runs(1, 2));
-        assert!(!plan.node_runs(1, 4));
-        assert!(plan.node_runs(1, 5));
+        let table = FaultTable::new(&plan, 4);
+        assert_eq!(table.stallable(), &[1, 3]);
+        assert!(table.node_runs(1, 1));
+        assert!(!table.node_runs(1, 2));
+        assert!(!table.node_runs(1, 4));
+        assert!(table.node_runs(1, 5));
         // Slowdown(3) runs at 10, 13 and skips the rest of the epoch.
-        let runs: Vec<u64> = (9..17).filter(|&t| plan.node_runs(3, t)).collect();
+        let runs: Vec<u64> = (9..17).filter(|&t| table.node_runs(3, t)).collect();
         assert_eq!(runs, vec![9, 10, 13, 16]);
     }
 
@@ -520,11 +611,12 @@ mod tests {
         .unwrap();
         assert_eq!(plan.link_faults().len(), 3);
         assert_eq!(plan.proc_faults().len(), 2);
-        assert!(plan.link_down(3, Direction::Cw, 12));
-        assert_eq!(plan.link_delay(0, Direction::Ccw, 2), 2);
-        assert_eq!(plan.link_cap(7, Direction::Cw, 3), Some(1));
-        assert!(!plan.node_runs(1, 3));
-        assert!(plan.node_runs(2, 8) && !plan.node_runs(2, 9));
+        let table = FaultTable::new(&plan, 8);
+        assert!(table.link(3, Direction::Cw, 12).down);
+        assert_eq!(table.link(0, Direction::Ccw, 2).delay, 2);
+        assert_eq!(table.link(7, Direction::Cw, 3).cap, Some(1));
+        assert!(!table.node_runs(1, 3));
+        assert!(table.node_runs(2, 8) && !table.node_runs(2, 9));
     }
 
     #[test]
@@ -562,5 +654,144 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad, 8).is_err(), "{bad} should fail");
         }
+    }
+
+    /// The plan's definition of every query, read off the whole list.
+    fn scan_node_runs(plan: &FaultPlan, node: usize, t: u64) -> bool {
+        plan.proc_faults()
+            .iter()
+            .filter(|f| f.node == node && f.from <= t && t < f.until)
+            .all(|f| match f.kind {
+                ProcFaultKind::Stall => false,
+                ProcFaultKind::Slowdown(k) => k <= 1 || (t - f.from) % k == 0,
+            })
+    }
+
+    fn scan_link(plan: &FaultPlan, node: usize, dir: Direction, t: u64) -> LinkState {
+        let active: Vec<LinkFaultKind> = plan
+            .link_faults()
+            .iter()
+            .filter(|f| f.node == node && f.dir == dir && f.from <= t && t < f.until)
+            .map(|f| f.kind)
+            .collect();
+        LinkState {
+            down: active.iter().any(|k| matches!(k, LinkFaultKind::Drop)),
+            delay: active
+                .iter()
+                .filter_map(|k| match *k {
+                    LinkFaultKind::Delay(d) => Some(d),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0),
+            cap: active
+                .iter()
+                .filter_map(|k| match *k {
+                    LinkFaultKind::Bandwidth(c) => Some(c),
+                    _ => None,
+                })
+                .min(),
+        }
+    }
+
+    /// A seeded plan that stresses the table's grouping: overlapping
+    /// epochs on few nodes, duplicated entries, `Slowdown(0)` and
+    /// `Slowdown(1)`, epochs that never end, and nodes past the ring.
+    fn messy_plan(m: usize, horizon: u64, rng: &mut SplitMix64) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        let node = |rng: &mut SplitMix64| {
+            if rng.below(5) == 0 {
+                m + rng.below(3) as usize
+            } else {
+                rng.below(m.min(6) as u64) as usize
+            }
+        };
+        let epoch = |rng: &mut SplitMix64| {
+            let from = rng.below(horizon);
+            let until = if rng.below(6) == 0 {
+                u64::MAX
+            } else {
+                from + 1 + rng.below(horizon - from)
+            };
+            (from, until)
+        };
+        for _ in 0..rng.below(24) {
+            let (from, until) = epoch(rng);
+            let fault = LinkFault {
+                node: node(rng),
+                dir: Direction::BOTH[rng.below(2) as usize],
+                from,
+                until,
+                kind: match rng.below(3) {
+                    0 => LinkFaultKind::Drop,
+                    1 => LinkFaultKind::Delay(rng.below(4)),
+                    _ => LinkFaultKind::Bandwidth(rng.below(4)),
+                },
+            };
+            plan.add_link_fault(fault);
+            if rng.below(4) == 0 {
+                plan.add_link_fault(fault);
+            }
+        }
+        for _ in 0..rng.below(12) {
+            let (from, until) = epoch(rng);
+            let fault = ProcFault {
+                node: node(rng),
+                from,
+                until,
+                kind: match rng.below(4) {
+                    0 => ProcFaultKind::Stall,
+                    k => ProcFaultKind::Slowdown(k - 1 + rng.below(2) * 2),
+                },
+            };
+            plan.add_proc_fault(fault);
+            if rng.below(4) == 0 {
+                plan.add_proc_fault(fault);
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn table_answers_every_query_as_the_plan_scan_does() {
+        let mut rng = SplitMix64::new(0x7ab1e);
+        let horizon = 40;
+        let mut slowdowns = [false; 4];
+        for m in [1usize, 2, 3, 512] {
+            for _ in 0..60 {
+                let plan = messy_plan(m, horizon, &mut rng);
+                for f in plan.proc_faults() {
+                    if let ProcFaultKind::Slowdown(k) = f.kind {
+                        slowdowns[(k as usize).min(3)] = true;
+                    }
+                }
+                let table = FaultTable::new(&plan, m);
+                let steps = (0..horizon + 2).chain([u64::MAX - 1, u64::MAX]);
+                for t in steps {
+                    for node in 0..m + 2 {
+                        assert_eq!(
+                            table.node_runs(node, t),
+                            scan_node_runs(&plan, node, t),
+                            "node_runs({node}, {t}) on m = {m}: {plan:?}"
+                        );
+                        for dir in Direction::BOTH {
+                            assert_eq!(
+                                table.link(node, dir, t),
+                                scan_link(&plan, node, dir, t),
+                                "link({node}, {dir:?}, {t}) on m = {m}: {plan:?}"
+                            );
+                        }
+                    }
+                }
+                let stallable: Vec<usize> = (0..m)
+                    .filter(|&i| plan.proc_faults().iter().any(|f| f.node == i))
+                    .collect();
+                assert_eq!(table.stallable(), &stallable[..]);
+            }
+        }
+        assert_eq!(
+            slowdowns, [true; 4],
+            "Slowdown(0), (1), (2) and (3+) all drawn"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! in a policy — or in the engine's own accounting — that fabricates,
 //! duplicates, or teleports work is caught by an independent code path.
 //!
-//! Two entry points:
+//! Three entry points, one replay:
 //!
 //! * [`check_report`] needs only the [`RunReport`] (no instance): unit
 //!   speed, fault legality (nothing processed while stalled, nothing sent
@@ -13,13 +13,23 @@
 //!   and A1/A2 (arbitrary sizes) rounding constraints replayed from the
 //!   audited [`Event::DroppedOff`] ledger, ledger monotonicity, makespan
 //!   consistency, and drop-off/processing accounting. This is what the
-//!   engine's `self-check` feature runs after every traced run.
+//!   engine's `self-check` feature runs after every traced run, and what
+//!   [`crate::TraceFile::check`] runs on a decoded trace.
 //! * [`check_run`] additionally replays conservation/causality against the
 //!   [`Instance`]: sends debit the sender when they *depart*, credit the
 //!   receiver one step later, and no node's resident work may ever go
 //!   negative — under faults this is exactly why recording `Sent` events at
 //!   link departure (rather than at the policy's push) matters.
+//! * [`check_fabric_run`] is the same replay over any [`Topology`].
 //!
+//! All of them are thin wrappers over one private core that borrows the
+//! event slice and makes every check in a single pass. Engine traces are
+//! already in `(step, node)` order and are read in place; only a trace
+//! that is not (a hand-built or corrupted one) is copied and stably
+//! sorted first, so such a trace gets the verdict of its sorted copy. The
+//! fault plan is laid out once per check as a per-node table, so a fault
+//! query reads only the faults of the node it asks about.
+
 //! ## Fault-aware slack
 //!
 //! The I1/I2/A1/A2 constraints need **no** extra slack under faults: they
@@ -45,7 +55,7 @@
 use std::collections::HashMap;
 
 use crate::engine::RunReport;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultTable};
 use crate::instance::Instance;
 use crate::topology::{Direction, RingTopology};
 use crate::trace::{DropKind, Event, TraceLevel};
@@ -274,67 +284,168 @@ struct NodeState {
     constrained: bool,
 }
 
-/// Checks everything that can be checked from the report alone: unit speed,
-/// fault legality, the I1/I2/A1/A2 drop ledgers, makespan consistency, and
-/// drop-off accounting. Requires [`TraceLevel::Full`].
-///
-/// `m` is the ring size and `plan` the fault plan the run was executed
-/// under (`None` = fault-free; every fault check then passes vacuously).
-pub fn check_report(
-    report: &RunReport,
+/// The parts of a recorded run the oracle reads, borrowed from a
+/// [`RunReport`] or a [`crate::TraceFile`] alike.
+struct Recorded<'a> {
+    level: TraceLevel,
+    events: &'a [Event],
+    makespan: u64,
+    processed_per_node: &'a [u64],
+}
+
+impl<'a> Recorded<'a> {
+    fn of(report: &'a RunReport) -> Self {
+        Recorded {
+            level: report.trace.level(),
+            events: report.trace.events(),
+            makespan: report.makespan,
+            processed_per_node: &report.metrics.processed_per_node,
+        }
+    }
+}
+
+/// The instance side of the conservation replay: the initial loads, and
+/// where a send out of `(node, port)` arrives (`None` loses the work). Ring
+/// sends travel on ports 0 (cw) and 1 (ccw).
+struct Replay<'a> {
+    loads: &'a [u64],
+    route: &'a dyn Fn(usize, usize) -> Option<usize>,
+}
+
+/// The oracle's one replay: every check runs in a single pass over the
+/// borrowed events, in `(step, node)` order. Engine traces are already in
+/// that order and are read in place; a hand-built or corrupted trace that
+/// is not gets a stably sorted copy. Violations come in a fixed order: the
+/// report checks event by event, then makespan and drop-off accounting,
+/// then (with a `replay`) the negative balances event by event and the
+/// total-work check.
+fn check_recorded(
+    run: Recorded<'_>,
     m: usize,
     plan: Option<&FaultPlan>,
+    replay: Option<Replay<'_>>,
 ) -> Vec<OracleViolation> {
-    let mut violations = Vec::new();
-    if !matches!(report.trace.level(), TraceLevel::Full) {
+    if !matches!(run.level, TraceLevel::Full) {
         return vec![OracleViolation::TraceUnavailable];
     }
-    // Defensive copy: engine traces are already in `(step, node)` order, but
-    // hand-built (or corrupted) traces need not be.
-    let mut events = report.trace.events().to_vec();
-    events.sort_by_key(|e| match *e {
+    let sorted: Vec<Event>;
+    let events = if run.events.windows(2).all(|w| cell(&w[0]) <= cell(&w[1])) {
+        run.events
+    } else {
+        sorted = {
+            let mut copy = run.events.to_vec();
+            copy.sort_by_key(cell);
+            copy
+        };
+        &sorted
+    };
+    let mut report = ReportCheck::new(m, plan);
+    let mut conservation = replay.map(|r| Conservation::new(r, m));
+    for ev in events {
+        report.event(ev);
+        if let Some(c) = conservation.as_mut() {
+            c.event(ev);
+        }
+    }
+    let mut violations = report.finish(run.makespan, run.processed_per_node);
+    if let Some(c) = conservation {
+        violations.extend(c.finish());
+    }
+    violations
+}
+
+/// The `(step, node)` cell an event belongs to.
+fn cell(ev: &Event) -> (u64, usize) {
+    match *ev {
         Event::Processed { t, node, .. }
         | Event::Sent { t, node, .. }
         | Event::SentOn { t, node, .. }
         | Event::DroppedOff { t, node, .. } => (t, node),
-    });
+    }
+}
 
-    let mut processed_in_cell: u64 = 0;
-    let mut cell: Option<(u64, usize)> = None;
-    let mut last_busy: Option<u64> = None;
+/// The checks [`check_report`] makes, fed one event at a time.
+struct ReportCheck {
+    m: usize,
+    faults: Option<FaultTable>,
+    processed_in_cell: u64,
+    cell: Option<(u64, usize)>,
+    last_busy: Option<u64>,
+    /// Keyed by bucket ids read from the trace, which may come from a
+    /// file: the default hasher keeps a crafted trace from forcing
+    /// collisions, and costs no measurable time here (nothing iterates
+    /// the map, so its order never reaches a verdict).
+    buckets: HashMap<u64, BucketState>,
+    nodes: Vec<NodeState>,
+    any_drop_events: bool,
+    violations: Vec<OracleViolation>,
+}
 
-    let mut buckets: HashMap<u64, BucketState> = HashMap::new();
-    let mut nodes: Vec<NodeState> = (0..m)
-        .map(|_| NodeState {
-            accepted_int: 0,
-            accepted_units: 0,
-            cum_accept_frac: 0.0,
-            constrained: true,
-        })
-        .collect();
-    let mut any_drop_events = false;
+impl ReportCheck {
+    fn new(m: usize, plan: Option<&FaultPlan>) -> Self {
+        ReportCheck {
+            m,
+            faults: plan.map(|p| FaultTable::new(p, m)),
+            processed_in_cell: 0,
+            cell: None,
+            last_busy: None,
+            buckets: HashMap::new(),
+            nodes: (0..m)
+                .map(|_| NodeState {
+                    accepted_int: 0,
+                    accepted_units: 0,
+                    cum_accept_frac: 0.0,
+                    constrained: true,
+                })
+                .collect(),
+            any_drop_events: false,
+            violations: Vec::new(),
+        }
+    }
 
-    for ev in &events {
+    /// Fault legality of a departure on `(node, dir)`: a departure during
+    /// its owner's stall is fine — links drain independently of the
+    /// processor — but nothing departs a downed or over-capacity link.
+    fn check_link(&mut self, t: u64, node: usize, dir: Direction, job_units: u64) {
+        let Some(faults) = &self.faults else { return };
+        let link = faults.link(node, dir, t);
+        if link.down {
+            self.violations
+                .push(OracleViolation::SentOnDownLink { node, step: t, dir });
+        }
+        if let Some(cap) = link.cap {
+            if job_units > cap {
+                self.violations.push(OracleViolation::BandwidthExceeded {
+                    node,
+                    step: t,
+                    dir,
+                    payload: job_units,
+                    cap,
+                });
+            }
+        }
+    }
+
+    fn event(&mut self, ev: &Event) {
         match *ev {
             Event::Processed { t, node, units } => {
-                if cell != Some((t, node)) {
-                    cell = Some((t, node));
-                    processed_in_cell = 0;
+                if self.cell != Some((t, node)) {
+                    self.cell = Some((t, node));
+                    self.processed_in_cell = 0;
                 }
-                processed_in_cell += units;
-                if processed_in_cell > 1 {
-                    violations.push(OracleViolation::Overwork {
+                self.processed_in_cell += units;
+                if self.processed_in_cell > 1 {
+                    self.violations.push(OracleViolation::Overwork {
                         node,
                         step: t,
-                        units: processed_in_cell,
+                        units: self.processed_in_cell,
                     });
                 }
                 if units > 0 {
-                    last_busy = Some(last_busy.map_or(t, |b| b.max(t)));
-                }
-                if let Some(plan) = plan {
-                    if units > 0 && !plan.node_runs(node, t) {
-                        violations.push(OracleViolation::ProcessedWhileStalled { node, step: t });
+                    self.last_busy = Some(self.last_busy.map_or(t, |b| b.max(t)));
+                    if self.faults.as_ref().is_some_and(|f| !f.node_runs(node, t)) {
+                        self.violations
+                            .push(OracleViolation::ProcessedWhileStalled { node, step: t });
                     }
                 }
             }
@@ -343,27 +454,7 @@ pub fn check_report(
                 node,
                 dir,
                 job_units,
-            } => {
-                if let Some(plan) = plan {
-                    // A departure during its owner's stall is fine — links
-                    // drain independently of the processor — but nothing
-                    // departs a downed or over-capacity link.
-                    if plan.link_down(node, dir, t) {
-                        violations.push(OracleViolation::SentOnDownLink { node, step: t, dir });
-                    }
-                    if let Some(cap) = plan.link_cap(node, dir, t) {
-                        if job_units > cap {
-                            violations.push(OracleViolation::BandwidthExceeded {
-                                node,
-                                step: t,
-                                dir,
-                                payload: job_units,
-                                cap,
-                            });
-                        }
-                    }
-                }
-            }
+            } => self.check_link(t, node, dir, job_units),
             Event::SentOn {
                 t,
                 node,
@@ -373,23 +464,8 @@ pub fn check_report(
                 // Fabric sends: fault plans speak cw/ccw, which every
                 // topology maps onto ports 0/1 (its embedded ring
                 // orientation). Higher ports have no fault epochs.
-                if let Some(plan) = plan {
-                    if let Some(&dir) = Direction::BOTH.get(port) {
-                        if plan.link_down(node, dir, t) {
-                            violations.push(OracleViolation::SentOnDownLink { node, step: t, dir });
-                        }
-                        if let Some(cap) = plan.link_cap(node, dir, t) {
-                            if job_units > cap {
-                                violations.push(OracleViolation::BandwidthExceeded {
-                                    node,
-                                    step: t,
-                                    dir,
-                                    payload: job_units,
-                                    cap,
-                                });
-                            }
-                        }
-                    }
+                if let Some(&dir) = Direction::BOTH.get(port) {
+                    self.check_link(t, node, dir, job_units);
                 }
             }
             Event::DroppedOff {
@@ -404,27 +480,27 @@ pub fn check_report(
                 kind,
                 ..
             } => {
-                any_drop_events = true;
+                self.any_drop_events = true;
                 let cum_drop = f64::from_bits(cum_drop_frac_bits);
                 let cum_accept = f64::from_bits(cum_accept_frac_bits);
-                let b = buckets.entry(bucket).or_default();
+                let b = self.buckets.entry(bucket).or_default();
                 if !b.seen {
                     b.seen = true;
                     b.constrained = true;
                 }
-                if node >= m {
+                if node >= self.m {
                     // A teleported/corrupted node index; report as a ledger
                     // problem rather than indexing out of bounds.
-                    violations.push(OracleViolation::NonMonotoneLedger {
+                    self.violations.push(OracleViolation::NonMonotoneLedger {
                         node,
                         bucket,
                         step: t,
                     });
-                    continue;
+                    return;
                 }
-                let n = &mut nodes[node];
+                let n = &mut self.nodes[node];
                 if cum_drop + EPS < b.cum_drop_frac || cum_accept + EPS < n.cum_accept_frac {
-                    violations.push(OracleViolation::NonMonotoneLedger {
+                    self.violations.push(OracleViolation::NonMonotoneLedger {
                         node,
                         bucket,
                         step: t,
@@ -440,7 +516,7 @@ pub fn check_report(
                         if b.constrained {
                             let bound = ceil_tol(b.cum_drop_frac) + p_max_bucket;
                             if b.dropped_int > bound {
-                                violations.push(OracleViolation::I1Exceeded {
+                                self.violations.push(OracleViolation::I1Exceeded {
                                     bucket,
                                     step: t,
                                     dropped_int: b.dropped_int,
@@ -451,7 +527,7 @@ pub fn check_report(
                         if n.constrained {
                             let bound = 1 + ceil_tol(n.cum_accept_frac) + p_max_node;
                             if n.accepted_int > bound {
-                                violations.push(OracleViolation::I2Exceeded {
+                                self.violations.push(OracleViolation::I2Exceeded {
                                     node,
                                     step: t,
                                     accepted_int: n.accepted_int,
@@ -473,36 +549,151 @@ pub fn check_report(
         }
     }
 
-    let derived = last_busy.map_or(0, |t| t + 1);
-    if derived != report.makespan {
-        violations.push(OracleViolation::MakespanMismatch {
-            reported: report.makespan,
-            derived,
-        });
-    }
-
-    // Bucket policies process exactly the work they audited as dropped off,
-    // node by node. Policies that don't audit (relay chains, the §7
-    // capacitated algorithm) record no DroppedOff events and skip this.
-    if any_drop_events {
-        for (node, state) in nodes.iter().enumerate() {
-            let processed = report
-                .metrics
-                .processed_per_node
-                .get(node)
-                .copied()
-                .unwrap_or(0);
-            if state.accepted_units != processed {
-                violations.push(OracleViolation::DropAccountingMismatch {
-                    node,
-                    dropped: state.accepted_units,
-                    processed,
-                });
+    fn finish(mut self, makespan: u64, processed_per_node: &[u64]) -> Vec<OracleViolation> {
+        let derived = self.last_busy.map_or(0, |t| t + 1);
+        if derived != makespan {
+            self.violations.push(OracleViolation::MakespanMismatch {
+                reported: makespan,
+                derived,
+            });
+        }
+        // Bucket policies process exactly the work they audited as dropped
+        // off, node by node. Policies that don't audit (relay chains, the
+        // §7 capacitated algorithm) record no DroppedOff events and skip
+        // this.
+        if self.any_drop_events {
+            for (node, state) in self.nodes.iter().enumerate() {
+                let processed = processed_per_node.get(node).copied().unwrap_or(0);
+                if state.accepted_units != processed {
+                    self.violations
+                        .push(OracleViolation::DropAccountingMismatch {
+                            node,
+                            dropped: state.accepted_units,
+                            processed,
+                        });
+                }
             }
+        }
+        self.violations
+    }
+}
+
+/// The conservation/causality replay, fed one event at a time:
+/// `balance[i]` is the work resident at node `i`, and `arriving` what this
+/// step's sends deliver at the next.
+struct Conservation<'a> {
+    route: &'a dyn Fn(usize, usize) -> Option<usize>,
+    expected: u64,
+    balance: Vec<i128>,
+    arriving: Vec<i128>,
+    step: Option<u64>,
+    processed: u64,
+    violations: Vec<OracleViolation>,
+}
+
+impl<'a> Conservation<'a> {
+    fn new(replay: Replay<'a>, m: usize) -> Self {
+        debug_assert_eq!(replay.loads.len(), m);
+        Conservation {
+            route: replay.route,
+            expected: replay.loads.iter().sum(),
+            balance: replay.loads.iter().map(|&x| i128::from(x)).collect(),
+            arriving: vec![0; m],
+            step: None,
+            processed: 0,
+            violations: Vec::new(),
         }
     }
 
-    violations
+    /// Moves the replay to step `t`: what was sent in the step being left
+    /// arrives now. Later steps in between deliver nothing, so a gap of any
+    /// length costs one delivery.
+    fn advance_to(&mut self, t: u64) {
+        match self.step {
+            Some(s) if s >= t => {}
+            Some(_) => {
+                for (b, a) in self.balance.iter_mut().zip(&mut self.arriving) {
+                    *b += std::mem::take(a);
+                }
+                self.step = Some(t);
+            }
+            None => self.step = Some(t),
+        }
+    }
+
+    /// Debits `units` from `node` at step `t`; a negative balance means
+    /// the node used work it could not yet have had.
+    fn debit(&mut self, t: u64, node: usize, units: u64) {
+        self.balance[node] -= i128::from(units);
+        if self.balance[node] < 0 {
+            self.violations.push(OracleViolation::NegativeBalance {
+                node,
+                step: t,
+                deficit: self.balance[node],
+            });
+        }
+    }
+
+    /// A send debits the sender at departure and credits the port's peer
+    /// one step later. A send on a port the node does not have loses the
+    /// work, which the trailing total-work check surfaces.
+    fn send(&mut self, t: u64, node: usize, port: usize, units: u64) {
+        self.debit(t, node, units);
+        if let Some(dest) = (self.route)(node, port) {
+            self.arriving[dest] += i128::from(units);
+        }
+    }
+
+    fn event(&mut self, ev: &Event) {
+        let (t, node) = cell(ev);
+        self.advance_to(t);
+        if node >= self.balance.len() {
+            return; // already reported by the report checks
+        }
+        match *ev {
+            Event::Processed { units, .. } => {
+                self.processed += units;
+                self.debit(t, node, units);
+            }
+            Event::Sent { dir, job_units, .. } => {
+                let port = match dir {
+                    Direction::Cw => 0,
+                    Direction::Ccw => 1,
+                };
+                self.send(t, node, port, job_units);
+            }
+            Event::SentOn {
+                port, job_units, ..
+            } => self.send(t, node, port, job_units),
+            // Drop-offs move work from "travelling" to "resident at the
+            // node it is already at" — no balance change.
+            Event::DroppedOff { .. } => {}
+        }
+    }
+
+    fn finish(mut self) -> Vec<OracleViolation> {
+        if self.processed != self.expected {
+            self.violations.push(OracleViolation::TotalMismatch {
+                processed: self.processed,
+                expected: self.expected,
+            });
+        }
+        self.violations
+    }
+}
+
+/// Checks everything that can be checked from the report alone: unit speed,
+/// fault legality, the I1/I2/A1/A2 drop ledgers, makespan consistency, and
+/// drop-off accounting. Requires [`TraceLevel::Full`].
+///
+/// `m` is the ring size and `plan` the fault plan the run was executed
+/// under (`None` = fault-free; every fault check then passes vacuously).
+pub fn check_report(
+    report: &RunReport,
+    m: usize,
+    plan: Option<&FaultPlan>,
+) -> Vec<OracleViolation> {
+    check_recorded(Recorded::of(report), m, plan, None)
 }
 
 /// Full validation: everything [`check_report`] covers plus the
@@ -516,117 +707,19 @@ pub fn check_run(
     plan: Option<&FaultPlan>,
 ) -> Vec<OracleViolation> {
     let m = instance.num_processors();
-    let mut violations = check_report(report, m, plan);
-    if violations == vec![OracleViolation::TraceUnavailable] {
-        return violations;
-    }
     let topo = RingTopology::new(m);
-
-    // Replay. balance[i] = resident work currently at node i.
-    let mut balance: Vec<i128> = instance.loads().iter().map(|&x| x as i128).collect();
-    let mut arriving_now: Vec<i128> = vec![0; m];
-    let mut arriving_next: Vec<i128> = vec![0; m];
-
-    let mut processed_total: u64 = 0;
-    let mut current_step: Option<u64> = None;
-
-    let mut advance_to = |step: u64,
-                          balance: &mut Vec<i128>,
-                          arriving_now: &mut Vec<i128>,
-                          arriving_next: &mut Vec<i128>| {
-        while current_step.map_or(true, |c| c < step) {
-            let next = current_step.map_or(0, |c| c + 1);
-            if current_step.is_some() {
-                // Deliveries sent in the step we are leaving arrive now.
-                std::mem::swap(arriving_now, arriving_next);
-                for (i, b) in balance.iter_mut().enumerate() {
-                    *b += arriving_now[i];
-                    arriving_now[i] = 0;
-                }
-            }
-            current_step = Some(next);
-        }
+    // A ring run is never supposed to carry fabric sends, but a hand-built
+    // trace might: ports 0/1 are cw/ccw, any other port loses the work.
+    let route = |node: usize, port: usize| {
+        Direction::BOTH
+            .get(port)
+            .map(|&dir| topo.neighbor(node, dir))
     };
-
-    for ev in report.trace.events() {
-        match *ev {
-            Event::Processed { t, node, units } => {
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= m {
-                    continue; // already reported by check_report
-                }
-                balance[node] -= units as i128;
-                processed_total += units;
-                if balance[node] < 0 {
-                    violations.push(OracleViolation::NegativeBalance {
-                        node,
-                        step: t,
-                        deficit: balance[node],
-                    });
-                }
-            }
-            Event::Sent {
-                t,
-                node,
-                dir,
-                job_units,
-            } => {
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= m {
-                    continue;
-                }
-                balance[node] -= job_units as i128;
-                if balance[node] < 0 {
-                    violations.push(OracleViolation::NegativeBalance {
-                        node,
-                        step: t,
-                        deficit: balance[node],
-                    });
-                }
-                let dest = topo.neighbor(node, dir);
-                arriving_next[dest] += job_units as i128;
-            }
-            Event::SentOn {
-                t,
-                node,
-                port,
-                job_units,
-            } => {
-                // A ring run is never supposed to carry fabric sends, but a
-                // hand-built trace might: debit the sender, and credit only
-                // if the port maps onto the ring (0 = cw, 1 = ccw). A send
-                // on a port the ring does not have loses the work and is
-                // surfaced by the total-work check.
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= m {
-                    continue;
-                }
-                balance[node] -= job_units as i128;
-                if balance[node] < 0 {
-                    violations.push(OracleViolation::NegativeBalance {
-                        node,
-                        step: t,
-                        deficit: balance[node],
-                    });
-                }
-                if let Some(&dir) = Direction::BOTH.get(port) {
-                    let dest = topo.neighbor(node, dir);
-                    arriving_next[dest] += job_units as i128;
-                }
-            }
-            // Drop-offs move work from "travelling" to "resident at the
-            // node it is already at" — no balance change.
-            Event::DroppedOff { .. } => {}
-        }
-    }
-
-    if processed_total != instance.total_work() {
-        violations.push(OracleViolation::TotalMismatch {
-            processed: processed_total,
-            expected: instance.total_work(),
-        });
-    }
-    violations
+    let replay = Replay {
+        loads: instance.loads(),
+        route: &route,
+    };
+    check_recorded(Recorded::of(report), m, plan, Some(replay))
 }
 
 /// The topology-generic counterpart of [`check_run`]: everything
@@ -643,131 +736,24 @@ pub fn check_fabric_run(
 ) -> Vec<OracleViolation> {
     let n = topo.len();
     assert_eq!(loads.len(), n, "load vector must match the topology");
-    let mut violations = check_report(report, n, plan);
-    if violations == vec![OracleViolation::TraceUnavailable] {
-        return violations;
-    }
-
-    let mut balance: Vec<i128> = loads.iter().map(|&x| x as i128).collect();
-    let mut arriving_now: Vec<i128> = vec![0; n];
-    let mut arriving_next: Vec<i128> = vec![0; n];
-
-    let mut processed_total: u64 = 0;
-    let mut current_step: Option<u64> = None;
-
-    let mut advance_to = |step: u64,
-                          balance: &mut Vec<i128>,
-                          arriving_now: &mut Vec<i128>,
-                          arriving_next: &mut Vec<i128>| {
-        while current_step.map_or(true, |c| c < step) {
-            let next = current_step.map_or(0, |c| c + 1);
-            if current_step.is_some() {
-                std::mem::swap(arriving_now, arriving_next);
-                for (i, b) in balance.iter_mut().enumerate() {
-                    *b += arriving_now[i];
-                    arriving_now[i] = 0;
-                }
-            }
-            current_step = Some(next);
-        }
+    let route =
+        |node: usize, port: usize| (port < topo.degree(node)).then(|| topo.peer(node, port));
+    let replay = Replay {
+        loads,
+        route: &route,
     };
+    check_recorded(Recorded::of(report), n, plan, Some(replay))
+}
 
-    // Debits the sender and credits the port's peer one step later. A send
-    // on a port the node does not have loses the work, which the trailing
-    // total-work check surfaces.
-    let send = |t: u64,
-                node: usize,
-                port: usize,
-                job_units: u64,
-                balance: &mut Vec<i128>,
-                arriving_next: &mut Vec<i128>,
-                violations: &mut Vec<OracleViolation>| {
-        balance[node] -= job_units as i128;
-        if balance[node] < 0 {
-            violations.push(OracleViolation::NegativeBalance {
-                node,
-                step: t,
-                deficit: balance[node],
-            });
-        }
-        if port < topo.degree(node) {
-            arriving_next[topo.peer(node, port)] += job_units as i128;
-        }
+/// [`check_report`] over a trace file's own fields, borrowing its events.
+pub(crate) fn check_trace_file(file: &crate::TraceFile) -> Vec<OracleViolation> {
+    let run = Recorded {
+        level: file.level,
+        events: &file.events,
+        makespan: file.makespan,
+        processed_per_node: &file.metrics.processed_per_node,
     };
-
-    for ev in report.trace.events() {
-        match *ev {
-            Event::Processed { t, node, units } => {
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= n {
-                    continue; // already reported by check_report
-                }
-                balance[node] -= units as i128;
-                processed_total += units;
-                if balance[node] < 0 {
-                    violations.push(OracleViolation::NegativeBalance {
-                        node,
-                        step: t,
-                        deficit: balance[node],
-                    });
-                }
-            }
-            Event::SentOn {
-                t,
-                node,
-                port,
-                job_units,
-            } => {
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= n {
-                    continue;
-                }
-                send(
-                    t,
-                    node,
-                    port,
-                    job_units,
-                    &mut balance,
-                    &mut arriving_next,
-                    &mut violations,
-                );
-            }
-            Event::Sent {
-                t,
-                node,
-                dir,
-                job_units,
-            } => {
-                advance_to(t, &mut balance, &mut arriving_now, &mut arriving_next);
-                if node >= n {
-                    continue;
-                }
-                let port = match dir {
-                    Direction::Cw => 0,
-                    Direction::Ccw => 1,
-                };
-                send(
-                    t,
-                    node,
-                    port,
-                    job_units,
-                    &mut balance,
-                    &mut arriving_next,
-                    &mut violations,
-                );
-            }
-            Event::DroppedOff { .. } => {}
-        }
-    }
-
-    let expected: u64 = loads.iter().sum();
-    if processed_total != expected {
-        violations.push(OracleViolation::TotalMismatch {
-            processed: processed_total,
-            expected,
-        });
-    }
-    violations
+    check_recorded(run, file.m, file.faults.as_ref(), None)
 }
 
 #[cfg(test)]
@@ -851,6 +837,34 @@ mod tests {
             metrics,
             trace: Trace::from_events(TraceLevel::Full, events),
             observability: None,
+        }
+    }
+
+    #[test]
+    fn sends_arrive_across_steps_with_no_events() {
+        // Node 0 sends its unit cw at step 0 and node 1 processes it at
+        // step `t`, with nothing recorded in between; a gap of any length
+        // is one delivery, not one replay step per skipped step.
+        let inst = Instance::from_loads(vec![1, 0]);
+        for t in [5, u64::MAX - 1] {
+            let report = report_from(
+                2,
+                t + 1,
+                vec![
+                    Event::Sent {
+                        t: 0,
+                        node: 0,
+                        dir: Direction::Cw,
+                        job_units: 1,
+                    },
+                    Event::Processed {
+                        t,
+                        node: 1,
+                        units: 1,
+                    },
+                ],
+            );
+            assert!(check_run(&inst, &report, None).is_empty(), "t = {t}");
         }
     }
 

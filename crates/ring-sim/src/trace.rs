@@ -152,6 +152,11 @@ impl Trace {
         &self.events
     }
 
+    /// The recorded events, by value.
+    pub(crate) fn into_events(self) -> Vec<Event> {
+        self.events
+    }
+
     /// Events of a particular step.
     pub fn step_events(&self, t: u64) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(move |e| match e {

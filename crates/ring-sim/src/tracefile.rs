@@ -21,11 +21,11 @@
 //! bit-flipped, wrong-magic, or future-version files are rejected before any
 //! payload is interpreted, and no input panics.
 //!
-//! Crucially the oracle needs **no changes** to replay a binary trace:
-//! [`TraceFile::to_report`] reconstitutes the exact [`RunReport`] the engine
-//! produced (same events, same metrics, `observability` elided), and
-//! [`TraceFile::check`] feeds it to the unmodified [`crate::oracle`]. The
-//! format is a transport, not a semantic layer.
+//! The oracle replays a decoded trace with no format-specific code:
+//! [`TraceFile::check`] hands the file's own events, metrics and fault plan
+//! to the same [`crate::oracle`] core that [`crate::check_report`] uses,
+//! borrowing them rather than rebuilding a [`RunReport`]. The format is a
+//! transport, not a semantic layer.
 
 use std::fmt;
 use std::path::Path;
@@ -34,7 +34,7 @@ use crate::checkpoint::fnv1a;
 use crate::engine::RunReport;
 use crate::fault::{FaultPlan, LinkFault, LinkFaultKind, ProcFault, ProcFaultKind};
 use crate::metrics::Metrics;
-use crate::oracle::{check_report, OracleViolation};
+use crate::oracle::{check_trace_file, OracleViolation};
 use crate::topology::Direction;
 use crate::trace::{DropKind, Event, Trace, TraceLevel};
 
@@ -189,23 +189,46 @@ pub enum TraceDiff {
 impl TraceFile {
     /// Captures a finished run. Ring size and total work are derived from
     /// the report's per-node metrics, so the caller only supplies what the
-    /// report cannot know: the fault plan and a provenance label.
+    /// report cannot know: the fault plan and a provenance label. Copies
+    /// the events; [`TraceFile::from_owned_report`] moves them instead.
     pub fn from_report(report: &RunReport, faults: Option<&FaultPlan>, meta: &str) -> Self {
+        Self::assemble(
+            report.makespan,
+            report.metrics.clone(),
+            report.trace.clone(),
+            faults,
+            meta,
+        )
+    }
+
+    /// [`TraceFile::from_report`] for a report the caller is done with: the
+    /// event log and the metrics move into the file rather than being
+    /// copied.
+    pub fn from_owned_report(report: RunReport, faults: Option<&FaultPlan>, meta: &str) -> Self {
+        Self::assemble(report.makespan, report.metrics, report.trace, faults, meta)
+    }
+
+    fn assemble(
+        makespan: u64,
+        metrics: Metrics,
+        trace: Trace,
+        faults: Option<&FaultPlan>,
+        meta: &str,
+    ) -> Self {
         TraceFile {
-            m: report.metrics.processed_per_node.len(),
-            total_work: report.metrics.processed_per_node.iter().sum(),
-            makespan: report.makespan,
+            m: metrics.processed_per_node.len(),
+            total_work: metrics.processed_per_node.iter().sum(),
+            makespan,
             meta: meta.to_string(),
-            metrics: report.metrics.clone(),
+            metrics,
             faults: faults.cloned(),
-            level: report.trace.level(),
-            events: report.trace.events().to_vec(),
+            level: trace.level(),
+            events: trace.into_events(),
         }
     }
 
     /// Reconstitutes the [`RunReport`] this trace was captured from
     /// (observability time series are not stored and come back as `None`).
-    /// The oracle replays this report with zero format-specific changes.
     pub fn to_report(&self) -> RunReport {
         RunReport {
             makespan: self.makespan,
@@ -215,10 +238,12 @@ impl TraceFile {
         }
     }
 
-    /// Replays the trace through the unmodified [`crate::oracle`], returning
-    /// every violation it finds (empty = the run checks out).
+    /// Replays the trace through the [`crate::oracle`] in place, returning
+    /// every violation it finds (empty = the run checks out): exactly what
+    /// [`crate::check_report`] finds on [`TraceFile::to_report`], without
+    /// copying the events.
     pub fn check(&self) -> Vec<OracleViolation> {
-        check_report(&self.to_report(), self.m, self.faults.as_ref())
+        check_trace_file(self)
     }
 
     /// One-line summary for `ringsched trace info`.

@@ -10,7 +10,7 @@
 use ring_sched::unit::{run_unit, run_unit_faulty, UnitConfig};
 use ring_sim::{
     check_report, check_run, Event, FaultPlan, Instance, OracleViolation, ProcFault, ProcFaultKind,
-    RunReport, Trace, TraceLevel,
+    RunReport, Trace, TraceFile, TraceLevel,
 };
 
 fn honest_run(inst: &Instance) -> RunReport {
@@ -258,4 +258,119 @@ fn hidden_dropoffs_are_rejected() {
             .any(|v| matches!(v, OracleViolation::DropAccountingMismatch { node: 0, .. })),
         "expected DropAccountingMismatch, got {violations:?}"
     );
+}
+
+/// The `(step, node)` cell an event belongs to.
+fn cell(ev: &Event) -> (u64, usize) {
+    match *ev {
+        Event::Processed { t, node, .. }
+        | Event::Sent { t, node, .. }
+        | Event::SentOn { t, node, .. }
+        | Event::DroppedOff { t, node, .. } => (t, node),
+    }
+}
+
+/// Lists the cells of an ordered trace last step first and, within a
+/// step, last node first, keeping each cell's own events in order — so a
+/// stable sort by cell restores the input exactly.
+fn cells_reversed(events: &[Event]) -> Vec<Event> {
+    let mut cells: Vec<Vec<Event>> = Vec::new();
+    for ev in events {
+        match cells.last_mut() {
+            Some(last) if cell(&last[0]) == cell(ev) => last.push(*ev),
+            _ => cells.push(vec![*ev]),
+        }
+    }
+    cells.reverse();
+    cells.concat()
+}
+
+/// The oracle reads an out-of-order trace as its stably sorted copy: a
+/// faulty run's trace, honest and tampered, gets exactly the violations of
+/// the sorted copy, in the same order, from every entry point.
+#[test]
+fn out_of_order_traces_get_the_verdict_of_their_sorted_copy() {
+    let inst = test_instance();
+    let m = inst.num_processors();
+    let mut plan = FaultPlan::new();
+    plan.add_proc_fault(ProcFault {
+        node: 0,
+        from: 0,
+        until: 3,
+        kind: ProcFaultKind::Stall,
+    });
+    let run = run_unit_faulty(&inst, &UnitConfig::c2().with_trace(), &plan).expect("faulty run");
+    let honest = run.report.trace.events().to_vec();
+
+    // Tampered: a duplicated unit, a send out of a node that never held
+    // the work, and work claimed inside the stall — then stably sorted, as
+    // the oracle would sort it.
+    let mut tampered = honest.clone();
+    let i = tampered
+        .iter()
+        .position(|e| matches!(e, Event::Processed { units: 1, .. }))
+        .expect("somebody worked");
+    tampered.insert(i, tampered[i]);
+    let s = tampered
+        .iter()
+        .position(|e| matches!(e, Event::Sent { job_units, .. } if *job_units > 0))
+        .expect("work travels");
+    if let Event::Sent { node, .. } = &mut tampered[s] {
+        *node = (*node + m / 2) % m;
+    }
+    tampered.push(Event::Processed {
+        t: 1,
+        node: 0,
+        units: 1,
+    });
+    tampered.sort_by_key(cell);
+
+    for (label, sorted) in [("honest", honest), ("tampered", tampered)] {
+        let shuffled = cells_reversed(&sorted);
+        assert_ne!(shuffled, sorted, "{label}: the shuffle must reorder");
+        let mut resorted = shuffled.clone();
+        resorted.sort_by_key(cell);
+        assert_eq!(
+            resorted, sorted,
+            "{label}: the shuffle keeps each cell's order"
+        );
+
+        let in_order = with_events(&run.report, sorted);
+        let out_of_order = with_events(&run.report, shuffled);
+        let expected = check_run(&inst, &in_order, Some(&plan));
+        assert_eq!(
+            check_run(&inst, &out_of_order, Some(&plan)),
+            expected,
+            "{label}: check_run"
+        );
+        assert_eq!(
+            check_report(&out_of_order, m, Some(&plan)),
+            check_report(&in_order, m, Some(&plan)),
+            "{label}: check_report"
+        );
+        let file = |report: &RunReport| TraceFile::from_report(report, Some(&plan), label);
+        assert_eq!(
+            file(&out_of_order).check(),
+            file(&in_order).check(),
+            "{label}: TraceFile::check"
+        );
+        if label == "honest" {
+            assert!(
+                expected.is_empty(),
+                "honest faulty run flagged: {expected:?}"
+            );
+        } else {
+            for kind in [
+                "Overwork",
+                "NegativeBalance",
+                "ProcessedWhileStalled",
+                "TotalMismatch",
+            ] {
+                assert!(
+                    expected.iter().any(|v| format!("{v:?}").starts_with(kind)),
+                    "tampered run lacks {kind}: {expected:?}"
+                );
+            }
+        }
+    }
 }
