@@ -1,6 +1,5 @@
 //! The ring engine's cost on the stream workload (per-unit vs coalesced
-//! messages, the drain shape with and without step compression) and the
-//! price of observability. `Engine::run` is the ring's one executor
+//! messages, the drain shape) and the price of observability. `Engine::run` is the ring's one executor
 //! (`par_run` is the same loop), so there is no executor axis here.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -31,21 +30,17 @@ fn sequential_run(c: &mut Criterion) {
 fn coalesced_representation(c: &mut Criterion) {
     // The count-coalesced message axis: the same stream workload with one
     // arena entry per unit job versus one run per link per step, plus the
-    // drain shape with quiescent-span step compression on and off. The
-    // `ringsched bench` subcommand tracks the same ratios as a JSON
-    // trajectory baseline (BENCH_engine.json).
+    // drain shape, whose sink parks while it drains. The `ringsched bench`
+    // subcommand tracks the same ratios as a JSON trajectory baseline
+    // (BENCH_engine.json).
     for &m in &[256usize, 1024] {
         let spread = StreamSpec::spread(m, 48 * m as u64);
         let drain = StreamSpec::drain(m, 16 * m as u64);
-        let cfg = |compress| EngineConfig {
-            compress,
-            ..EngineConfig::default()
-        };
         // Equivalence guard: never benchmark variants that disagree.
-        let base = stream_engine(&spread, Representation::PerUnit, cfg(false))
+        let base = stream_engine(&spread, Representation::PerUnit, EngineConfig::default())
             .run()
             .unwrap();
-        let coal = stream_engine(&spread, Representation::Coalesced, cfg(false))
+        let coal = stream_engine(&spread, Representation::Coalesced, EngineConfig::default())
             .run()
             .unwrap();
         assert_eq!(base, coal, "m={m} representations diverged");
@@ -58,23 +53,25 @@ fn coalesced_representation(c: &mut Criterion) {
         ] {
             group.bench_function(name, |b| {
                 b.iter(|| {
-                    stream_engine(black_box(&spread), repr, cfg(false))
+                    stream_engine(black_box(&spread), repr, EngineConfig::default())
                         .run()
                         .unwrap()
                         .makespan
                 })
             });
         }
-        for (name, compress) in [("drain", false), ("drain_compressed", true)] {
-            group.bench_function(name, |b| {
-                b.iter(|| {
-                    stream_engine(black_box(&drain), Representation::Coalesced, cfg(compress))
-                        .run()
-                        .unwrap()
-                        .makespan
-                })
-            });
-        }
+        group.bench_function("drain", |b| {
+            b.iter(|| {
+                stream_engine(
+                    black_box(&drain),
+                    Representation::Coalesced,
+                    EngineConfig::default(),
+                )
+                .run()
+                .unwrap()
+                .makespan
+            })
+        });
         group.finish();
     }
 }

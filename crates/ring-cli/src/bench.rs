@@ -2,16 +2,14 @@
 //!
 //! Runs the stream workload (`ring_sim::stream`) over a matrix of ring
 //! sizes and message representations (per-unit vs count-coalesced), plus
-//! the drain shape with and without quiescent-span step compression, the
-//! hotspot shape, and the fabric engine's torus and clique shapes under
-//! `run` and `par_run`. Emits a hand-written JSON report
-//! (`BENCH_engine.json` by convention) with per-case best-of-reps timings
-//! and machine-independent speedup *ratios*.
+//! the drain shape, the hotspot shape, and the fabric engine's torus and
+//! clique shapes under `run` and `par_run`. Emits a hand-written JSON
+//! report (`BENCH_engine.json` by convention) with per-case best-of-reps
+//! timings and machine-independent speedup *ratios*.
 //!
 //! The ratios — coalesced over per-unit jobs/sec on the same machine,
-//! compressed over plain, fabric `par_run` over `run` — are what the
-//! trajectory tracks: absolute ns/step numbers shift with hardware, the
-//! ratios should not.
+//! fabric `par_run` over `run` — are what the trajectory tracks: absolute
+//! ns/step numbers shift with hardware, the ratios should not.
 
 use ring_sched::{run_fabric, FabricAlgo};
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
@@ -41,7 +39,6 @@ struct BenchRecord {
     shape: &'static str,
     repr: &'static str,
     executor: String,
-    compress: bool,
     total_work: u64,
     steps: u64,
     reps: usize,
@@ -73,14 +70,9 @@ fn bench_case(
     shape: &'static str,
     spec: &StreamSpec,
     repr: Representation,
-    compress: bool,
     reps: usize,
 ) -> BenchRecord {
-    let cfg = EngineConfig {
-        compress,
-        ..EngineConfig::default()
-    };
-    let exec = |spec: &StreamSpec| stream_engine(spec, repr, cfg.clone()).run();
+    let exec = |spec: &StreamSpec| stream_engine(spec, repr, EngineConfig::default()).run();
     // Warmup (also captures steps/makespan once; every rep is identical
     // because the whole pipeline is deterministic).
     let report = exec(spec).unwrap_or_else(|e| {
@@ -109,7 +101,6 @@ fn bench_case(
             Representation::Coalesced => "coalesced",
         },
         executor: "run".to_string(),
-        compress,
         total_work: spec.total_work(),
         steps,
         reps,
@@ -149,7 +140,6 @@ fn bench_span_case(key: String, spec: &StreamSpec, reps: usize) -> BenchRecord {
         shape: "span",
         repr: "coalesced",
         executor: "run".to_string(),
-        compress: false,
         total_work: processed,
         steps: SPAN_ROUNDS,
         reps,
@@ -225,7 +215,6 @@ fn bench_fabric_case(
             Some(s) => format!("par_run({s})"),
             None => "run".to_string(),
         },
-        compress: false,
         total_work: loads.iter().sum(),
         steps,
         reps,
@@ -289,13 +278,12 @@ fn bench_fabric_cells(
 
 fn record_json(r: &BenchRecord) -> String {
     format!(
-        "    {{\"key\": \"{}\", \"m\": {}, \"shape\": \"{}\", \"repr\": \"{}\", \"executor\": \"{}\", \"compress\": {}, \"total_work\": {}, \"steps\": {}, \"reps\": {}, \"best_ns_per_step\": {:.1}, \"jobs_per_sec\": {:.1}}}",
+        "    {{\"key\": \"{}\", \"m\": {}, \"shape\": \"{}\", \"repr\": \"{}\", \"executor\": \"{}\", \"total_work\": {}, \"steps\": {}, \"reps\": {}, \"best_ns_per_step\": {:.1}, \"jobs_per_sec\": {:.1}}}",
         r.key,
         r.m,
         r.shape,
         r.repr,
         r.executor,
-        r.compress,
         r.total_work,
         r.steps,
         r.reps,
@@ -393,7 +381,7 @@ fn run_matrix(
             ("coalesced", Representation::Coalesced),
         ] {
             let key = format!("spread-m{m}-run-{repr_name}");
-            results.push(bench_case(key, "spread", &spread, repr, false, reps));
+            results.push(bench_case(key, "spread", &spread, repr, reps));
         }
         let per_unit = find_jobs_per_sec(&results, &format!("spread-m{m}-run-per_unit"));
         let coalesced = find_jobs_per_sec(&results, &format!("spread-m{m}-run-coalesced"));
@@ -401,30 +389,19 @@ fn run_matrix(
             key: format!("spread-m{m}-run"),
             ratio: coalesced / per_unit,
         });
-        for (tag, compress) in [("plain", false), ("compressed", true)] {
-            let key = format!("drain-m{m}-{tag}");
-            results.push(bench_case(
-                key,
-                "drain",
-                &drain,
-                Representation::Coalesced,
-                compress,
-                reps,
-            ));
-        }
-        let plain = find_jobs_per_sec(&results, &format!("drain-m{m}-plain"));
-        let compressed = find_jobs_per_sec(&results, &format!("drain-m{m}-compressed"));
-        speedups.push(SpeedupRecord {
-            key: format!("drain-m{m}-compress"),
-            ratio: compressed / plain,
-        });
+        results.push(bench_case(
+            format!("drain-m{m}-plain"),
+            "drain",
+            &drain,
+            Representation::Coalesced,
+            reps,
+        ));
         // The hotspot shape is the imbalanced-ring axis.
         results.push(bench_case(
             format!("hotspot-m{m}-run"),
             "hotspot",
             &hotspot_spec(m),
             Representation::Coalesced,
-            false,
             reps,
         ));
     }

@@ -130,17 +130,14 @@ fn resolve_algorithms(plan: &Plan) -> Result<Vec<(String, UnitConfig)>, String> 
     }
 }
 
-/// Applies the plan's trace and compression knobs to an algorithm config.
-/// The ring engine has one executor, so `mode`, `shards` and the pool keys
+/// Applies the plan's trace level to an algorithm config. The ring engine
+/// has one executor, so `mode`, `shards`, `compress` and the pool keys
 /// (`window`, `rebalance`, `tasks-per-shard`, `steal-seed`, `threads`)
 /// change nothing on a ring; they still parse, and a fabric plan passes
 /// `mode`, `shards` and `steal-seed` to the fabric's pool.
 fn apply_executor(plan: &Plan, mut cfg: UnitConfig) -> UnitConfig {
     if plan.trace_full {
         cfg = cfg.with_trace();
-    }
-    if plan.executor.compress {
-        cfg = cfg.with_compress();
     }
     cfg
 }

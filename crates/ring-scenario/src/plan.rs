@@ -198,7 +198,10 @@ pub struct ExecutorSpec {
     /// Parsed and rendered (`u64::MAX` as `L`), otherwise ignored since the
     /// ring task pool went; removed with the next `benchmark` PR.
     pub window: Option<u64>,
-    /// Quiescent-span step compression.
+    /// Parsed and rendered (the scenario digests hash the rendering),
+    /// otherwise ignored since the active-node frontier replaced
+    /// quiescent-span step compression; removed with the next `benchmark`
+    /// PR.
     pub compress: bool,
     /// Parsed and rendered, otherwise ignored since PR 15; removed with
     /// the next `benchmark` PR.

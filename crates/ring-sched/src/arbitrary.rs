@@ -42,10 +42,6 @@ pub struct ArbitraryConfig {
     pub trace: TraceLevel,
     /// Optional step budget override.
     pub max_steps: Option<u64>,
-    /// Enable the engine's quiescent-span step compression (bit-identical
-    /// results; collapses the long non-preemptive drain tails sized
-    /// instances end with).
-    pub compress: bool,
 }
 
 impl Default for ArbitraryConfig {
@@ -55,7 +51,6 @@ impl Default for ArbitraryConfig {
             bidirectional: false,
             trace: TraceLevel::Off,
             max_steps: None,
-            compress: false,
         }
     }
 }
@@ -511,7 +506,6 @@ pub fn run_arbitrary(
     let engine_cfg = EngineConfig {
         max_steps: cfg.max_steps,
         trace: cfg.trace,
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(nodes, instance.total_work(), engine_cfg);

@@ -269,7 +269,8 @@ impl DynamicNode {
     /// stream time-sorted (equal-time batches stay in insertion order).
     /// A serving layer calls this between engine spans — while the engine
     /// is paused at a step boundary `B`, injecting batches with
-    /// `time >= B` — and must declare the added jobs through
+    /// `time >= B` into the node [`ring_sim::Engine::node_mut`] hands out
+    /// — and must declare the added jobs through
     /// [`ring_sim::Engine::add_work`].
     pub fn inject(&mut self, a: Arrival) {
         let pos = self.pending.partition_point(|b| b.time <= a.time);
@@ -394,7 +395,6 @@ fn dynamic_engine(instance: &DynamicInstance, cfg: &UnitConfig) -> Engine<Dynami
         max_steps: Some(4 * (n + instance.num_processors() as u64) + instance.last_arrival() + 64),
         trace: cfg.trace,
         observe: cfg.observe,
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     Engine::new(nodes, n, engine_cfg)

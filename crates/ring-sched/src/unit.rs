@@ -116,9 +116,9 @@ pub struct UnitConfig {
     pub max_steps: Option<u64>,
     /// Collect the engine's per-step observability series.
     pub observe: bool,
-    /// Enable the engine's quiescent-span step compression
-    /// ([`EngineConfig::compress`] — bit-identical results, fewer engine
-    /// rounds on drain-dominated instances).
+    /// Inert: the active-node frontier replaced quiescent-span step
+    /// compression. Removed with the next `benchmark` PR, which is the last
+    /// user.
     pub compress: bool,
     /// Inert: the ring engine has one executor and reads no window.
     /// Removed with the next `benchmark` PR, which is the last user.
@@ -228,8 +228,8 @@ impl UnitConfig {
         self
     }
 
-    /// Returns the same configuration with quiescent-span step compression
-    /// turned on.
+    /// Sets the inert [`UnitConfig::compress`]; removed with the next
+    /// `benchmark` PR.
     pub fn with_compress(mut self) -> Self {
         self.compress = true;
         self
@@ -662,7 +662,6 @@ where
         trace: cfg.trace,
         observe: cfg.observe,
         faults: plan.cloned(),
-        compress: cfg.compress,
         checkpoint_meta: meta.to_string(),
         ..EngineConfig::default()
     }
@@ -694,7 +693,6 @@ pub fn resume_unit(
         max_steps: cfg.max_steps,
         trace: cfg.trace,
         observe: cfg.observe,
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     let mut engine =
@@ -717,7 +715,6 @@ fn unit_engine(
         trace: cfg.trace,
         observe: cfg.observe,
         faults,
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     Engine::new(nodes, instance.total_work(), engine_cfg)

@@ -21,8 +21,8 @@ pub struct EpochSample {
     pub completed: u64,
     /// Jobs shed at this boundary.
     pub shed: u64,
-    /// Engine rounds actually executed to reach this boundary (quiescent
-    /// spans are compressed, so this can be far below `epoch`).
+    /// Engine rounds simulated to reach this boundary: the epoch, or fewer
+    /// when the generation finished inside it.
     pub engine_rounds: u64,
 }
 

@@ -51,15 +51,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Engine configuration for a scheduling generation: untraced (the replay
-/// oracle does not model mid-run injection), unbounded step budget (the
-/// service decides when to stop, not the engine), compression on (idle
-/// epochs cost O(1) engine rounds).
+/// oracle does not model mid-run injection), unobserved (so nodes park and
+/// an idle epoch costs the engine nothing per node), unbounded step budget
+/// (the service decides when to stop, not the engine).
 fn generation_config() -> EngineConfig {
     EngineConfig {
         max_steps: Some(u64::MAX),
         trace: TraceLevel::Off,
         observe: false,
-        compress: true,
         ..EngineConfig::default()
     }
 }
@@ -363,7 +362,7 @@ impl Shared {
                     }
                     let gen = self.gen.as_mut().expect("just ensured");
                     let time = b - gen.base;
-                    gen.engine.nodes_mut()[s.processor].inject(Arrival {
+                    gen.engine.node_mut(s.processor).inject(Arrival {
                         time,
                         processor: s.processor,
                         count: s.count,

@@ -56,7 +56,6 @@ fn run_incremental(
         max_steps: Some(u64::MAX),
         trace: TraceLevel::Off,
         observe: false,
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(
@@ -71,7 +70,7 @@ fn run_incremental(
         let t = engine.t();
         while next < pending.len() && pending[next].time <= t {
             let a = pending[next];
-            engine.nodes_mut()[a.processor].inject(a);
+            engine.node_mut(a.processor).inject(a);
             engine.add_work(a.count);
             next += 1;
         }

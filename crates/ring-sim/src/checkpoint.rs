@@ -333,8 +333,10 @@ pub struct Snapshot {
     pub t: u64,
     /// Work units processed so far.
     pub processed: u64,
-    /// Logical messages that entered the arenas in round `t - 1` (the step
-    /// compression gate; zero means every inbox is empty at `t`).
+    /// Logical messages that entered the arenas in round `t - 1` (zero
+    /// means every inbox is empty at `t`). Quiescent-span compression read
+    /// it; nothing does now, but the field stays so that `RINGSNAP` bytes
+    /// and the pinned images do not change, and resume carries it through.
     pub prev_round_departed: u64,
     /// Trace level of the interrupted run.
     pub trace_level: TraceLevel,

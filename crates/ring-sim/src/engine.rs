@@ -327,8 +327,7 @@ pub trait Node {
     fn pending_work(&self) -> u64;
 
     /// Declares how far ahead this node's behavior is a pure drain — the
-    /// contract behind quiescent-span step compression
-    /// ([`EngineConfig::compress`]).
+    /// contract behind the executor's active-node frontier ([`Engine::run`]).
     ///
     /// Returning `Some(Quiescence { span, backlog })` at time `now`
     /// promises that, **given empty inboxes for every round in
@@ -339,11 +338,12 @@ pub trait Node {
     /// - reports `pending_work()` after the round equal to its value before
     ///   the span minus `min(backlog, j + 1)`.
     ///
-    /// The engine only fast-forwards when *every* node is quiescent and no
-    /// messages are in flight or queued, and the sequential executor skips
-    /// a single node on the promise only until a neighbor sends to it, so
-    /// the empty-inbox premise holds by construction. Returning `None` (the
-    /// default) opts the node out and is always safe.
+    /// The executor parks a node on the promise only until a neighbor
+    /// sends to it, the span runs out or a caller takes it through
+    /// [`Engine::node_mut`], so the empty-inbox premise holds by
+    /// construction; under a full trace it records the one `Processed`
+    /// event per drained round itself. Returning `None` (the default) opts
+    /// the node out and is always safe.
     fn quiescence(&self, now: u64) -> Option<Quiescence> {
         let _ = now;
         None
@@ -431,22 +431,15 @@ pub struct EngineConfig {
     /// zero-overhead fast path; `Some` of an empty plan takes the fault
     /// path but produces bit-identical results to `None`).
     pub faults: Option<FaultPlan>,
-    /// Quiescent-span step compression: when every node reports (via
-    /// [`Node::quiescence`]) that its next state-changing event is `k ≥ 2`
-    /// rounds away, no messages are in flight, and the fault plan is
-    /// exhausted, the engine fast-forwards the span analytically instead of
-    /// looping. Metrics, trace, and observability record the expanded
-    /// per-step view, so the [`RunReport`] is bit-for-bit identical to the
-    /// uncompressed run (asserted by the workspace's equivalence proptests).
-    /// Off by default.
+    /// Inert: the active-node frontier replaced quiescent-span step
+    /// compression. Removed with the next `benchmark` PR, which is the last
+    /// user.
     pub compress: bool,
     /// Snapshot cadence: request a checkpoint at every step boundary `t`
     /// divisible by this value (and after the resume point). Only effective
-    /// once a sink is installed via [`Engine::on_checkpoint`]; with the
-    /// cadence set, quiescent-span compression caps its spans so fast-
-    /// forwarding always lands exactly on the next boundary (the split is
-    /// unobservable in the report — see DESIGN.md §11). `None` (default)
-    /// never checkpoints.
+    /// once a sink is installed via [`Engine::on_checkpoint`]; the
+    /// executor's empty-round jumps stop at every boundary (DESIGN.md §11).
+    /// `None` (default) never checkpoints.
     pub checkpoint_every: Option<u64>,
     /// Free-form metadata embedded in every snapshot ([`Snapshot::app_meta`]).
     /// The engine never interprets it; the CLI stores the flags needed to
@@ -853,125 +846,6 @@ fn step_node_and_links<N: Node>(
     }
 }
 
-/// Collects the quiescence declarations of every node into `backlogs`
-/// (cleared first; one entry per node). Returns `(min_span, max_backlog)`,
-/// or `None` if any node declines or reports a zero span — in which case
-/// `backlogs` is meaningless.
-fn ring_quiescence<N: Node>(nodes: &[N], now: u64, backlogs: &mut Vec<u64>) -> Option<(u64, u64)> {
-    backlogs.clear();
-    let mut min_span = u64::MAX;
-    let mut max_backlog = 0u64;
-    for n in nodes {
-        let q = n.quiescence(now)?;
-        if q.span == 0 {
-            return None;
-        }
-        min_span = min_span.min(q.span);
-        max_backlog = max_backlog.max(q.backlog);
-        backlogs.push(q.backlog);
-    }
-    Some((min_span, max_backlog))
-}
-
-/// Number of rounds to fast-forward given the merged quiescence state and
-/// the remaining step budget, or `None` when compression is not worth a
-/// span (`k < 2`). Capping at `max_backlog` (when any node still holds
-/// work) makes completion land exactly on the span's last round, so the
-/// post-span conservation check observes the same states the per-round
-/// loop would.
-fn compression_k(min_span: u64, max_backlog: u64, budget: u64) -> Option<u64> {
-    let mut k = min_span.min(budget);
-    if max_backlog > 0 {
-        k = k.min(max_backlog);
-    }
-    (k >= 2).then_some(k)
-}
-
-/// Emits the `Processed` events a compressed span would have recorded:
-/// round-major, node-ascending — exactly the per-round loop's order (quiet
-/// rounds carry no sends or drop-offs). Output-sensitive: total work is
-/// O(events emitted).
-fn synthesize_quiet_trace(t0: u64, k: u64, backlogs: &[u64], mut emit: impl FnMut(Event)) {
-    let mut active: Vec<(usize, u64)> = backlogs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b > 0)
-        .map(|(i, &b)| (i, b.min(k)))
-        .collect();
-    for j in 0..k {
-        if active.is_empty() {
-            break;
-        }
-        for &(node, _) in &active {
-            emit(Event::Processed {
-                t: t0 + j,
-                node,
-                units: 1,
-            });
-        }
-        active.retain(|&(_, b)| b > j + 1);
-    }
-}
-
-/// Pushes the `k` per-step observability samples a compressed span would
-/// have recorded. `p0[i]` is node `i`'s `pending_work()` entering the span
-/// (capture it *before* fast-forwarding). Quiet rounds deliver, send, and
-/// drop nothing, so every sample field except `t`, `processed`,
-/// `max_pending`, and `total_pending` is zero; those follow from the
-/// backlogs alone: in round `t0 + j` node `i` has processed
-/// `min(b_i, j + 1)` units. Runs in O(m log m + k + events).
-fn synthesize_quiet_samples(
-    t0: u64,
-    k: u64,
-    p0: &[u64],
-    backlogs: &[u64],
-    samples: &mut Vec<StepSample>,
-) {
-    let m = p0.len();
-    // Per-round processed counts c_j = #{i : b_i > j} via a difference
-    // array over the span.
-    let mut diff = vec![0i64; k as usize + 1];
-    for &b in backlogs {
-        let d = b.min(k);
-        if d > 0 {
-            diff[0] += 1;
-            diff[d as usize] -= 1;
-        }
-    }
-    // For max_pending: with τ = j + 1, node i reports p0_i − τ while still
-    // draining (b_i ≥ τ) and the constant p0_i − b_i once done. Sweep nodes
-    // in backlog order with a suffix max of p0 over the still-draining set.
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_unstable_by_key(|&i| backlogs[i]);
-    let mut suffix_max = vec![0u64; m + 1];
-    for idx in (0..m).rev() {
-        suffix_max[idx] = suffix_max[idx + 1].max(p0[order[idx]]);
-    }
-    let total0: u64 = p0.iter().sum();
-    let mut done_max = 0u64;
-    let mut ptr = 0usize;
-    let mut active = 0i64;
-    let mut cum_processed = 0u64;
-    for j in 0..k {
-        active += diff[j as usize];
-        let c = active as u64;
-        cum_processed += c;
-        let tau = j + 1;
-        while ptr < m && backlogs[order[ptr]] < tau {
-            let i = order[ptr];
-            done_max = done_max.max(p0[i].saturating_sub(backlogs[i]));
-            ptr += 1;
-        }
-        samples.push(StepSample {
-            t: t0 + j,
-            processed: c,
-            max_pending: done_max.max(suffix_max[ptr].saturating_sub(tau)),
-            total_pending: total0 - cum_processed,
-            ..StepSample::default()
-        });
-    }
-}
-
 /// `Frontier::parked_at` value of a node that is on the frontier.
 const AWAKE: u64 = u64::MAX;
 
@@ -979,17 +853,24 @@ const AWAKE: u64 = u64::MAX;
 /// step. A node leaves it by *parking* — after a step it promises, through
 /// [`Node::quiescence`], that while its inboxes stay empty it will only
 /// drain its `backlog`, one unit per round (`span ≥ 1`) — and comes back
-/// when a neighbor sends to it or the promise runs out. The rounds it
-/// skipped are owed to it as one [`Node::fast_forward`] call, and the units
-/// it drained meanwhile as one booking into the metrics, both paid before
-/// its state is next stepped or observed. Stepping a listed node is always
-/// legal; only skipping needs the promise, so stale entries are harmless.
+/// when a neighbor sends to it, the promise runs out or a caller takes it
+/// through [`Engine::node_mut`]. The rounds it skipped are owed to it as
+/// one [`Node::fast_forward`] call, and the units it drained meanwhile as
+/// one booking into the metrics, both paid before its state is next
+/// stepped or observed. Stepping a listed node is always legal; only
+/// skipping needs the promise, so stale entries are harmless.
 ///
 /// The run's processed total must still be exact at the end of every round
 /// (completion, the work-miscount check), so the frontier counts the
 /// parked nodes draining in the current round and retires each from the
-/// count at its drain end, without touching the node.
-#[derive(Default)]
+/// count at its drain end, without touching the node. Under a full trace
+/// it also lists those drainers in ascending order, and the sweep merges
+/// the list into its own ascending order to record each drained unit's
+/// `Processed` event in its round.
+///
+/// The frontier lives as long as the run: a pause keeps it, and the next
+/// span continues from it. Only a fresh start and [`Engine::resume`] build
+/// one, with every node listed.
 struct Frontier {
     /// Nodes stepped this round, ascending — the order the trace and the
     /// oracle rely on.
@@ -1017,25 +898,39 @@ struct Frontier {
     /// Drainers parked during the round being swept; they start draining
     /// in the next one.
     fresh: u64,
+    /// Whether the drainers below are listed (under a full trace).
+    list_drainers: bool,
+    /// The parked nodes draining in the round being swept, ascending.
+    drainers: Vec<u32>,
+    /// How many of `drainers` the sweep has passed.
+    passed: usize,
+    /// Passed drainers that still drain in the next round, ascending.
+    kept: Vec<u32>,
+    /// Drainers parked during the round being swept, ascending (the
+    /// sweep's order).
+    fresh_drainers: Vec<u32>,
 }
 
 impl Frontier {
-    /// Puts all `m` nodes on the frontier with nothing owed.
-    fn seed(&mut self, m: usize) {
+    /// A frontier over `m` nodes, all of them listed and nothing owed.
+    fn new(m: usize, list_drainers: bool) -> Self {
         let m32 = u32::try_from(m).expect("ring size fits the frontier's u32 node ids");
-        self.active.clear();
-        self.active.extend(0..m32);
-        self.next.clear();
-        self.next.reserve(m);
-        self.listed_for.resize(m, 0);
-        self.parked_at.clear();
-        self.parked_at.resize(m, AWAKE);
-        self.drain_end.clear();
-        self.drain_end.resize(m, 0);
-        self.wake.clear();
-        self.drains.clear();
-        self.draining = 0;
-        self.fresh = 0;
+        Frontier {
+            active: (0..m32).collect(),
+            next: Vec::with_capacity(m),
+            listed_for: vec![0; m],
+            parked_at: vec![AWAKE; m],
+            drain_end: vec![0; m],
+            wake: BinaryHeap::new(),
+            drains: BinaryHeap::new(),
+            draining: 0,
+            fresh: 0,
+            list_drainers,
+            drainers: Vec::new(),
+            passed: 0,
+            kept: Vec::new(),
+            fresh_drainers: Vec::new(),
+        }
     }
 
     /// Lists node `i` for `round` (the one after the round being swept).
@@ -1057,6 +952,9 @@ impl Frontier {
         let end = round.saturating_add(q.backlog);
         if end > round {
             self.fresh += 1;
+            if self.list_drainers {
+                self.fresh_drainers.push(i as u32);
+            }
             // An equal `drain_end` still ahead is already on the heap: a
             // node woken by mail it merely passes on re-parks with the
             // same end every round.
@@ -1105,6 +1003,16 @@ impl Frontier {
         }
     }
 
+    /// Wakes node `i` at the round `t` it is paused before and lists it
+    /// for that round: its caller is about to change its state, which
+    /// voids its promise.
+    fn take<N: Node>(&mut self, i: usize, t: u64, node: &mut N, metrics: &mut Metrics) {
+        self.settle(i, t, node, metrics);
+        if let Err(at) = self.active.binary_search(&(i as u32)) {
+            self.active.insert(at, i as u32);
+        }
+    }
+
     /// Pays every parked node the rounds it skipped before `t`, leaving it
     /// parked: afterwards node state and metrics are exactly the full
     /// sweep's.
@@ -1119,6 +1027,35 @@ impl Frontier {
         }
     }
 
+    /// Records the `Processed` event every listed drainer below node
+    /// `below` owes for rounds `t..t + rounds`, round by round in node
+    /// order, and keeps those still draining after them. A drainer equal
+    /// to `below` is about to be stepped, so it leaves the list.
+    fn pass_drainers(&mut self, below: usize, t: u64, rounds: u64, trace: &mut Trace) {
+        let from = self.passed;
+        let to = from + self.drainers[from..].partition_point(|&d| (d as usize) < below);
+        let passed = &self.drainers[from..to];
+        // A jump over rounds with no drainers must not walk them.
+        if !passed.is_empty() {
+            for round in t..t + rounds {
+                for &node in passed {
+                    trace.record(Event::Processed {
+                        t: round,
+                        node: node as usize,
+                        units: 1,
+                    });
+                }
+            }
+            let drain_end = &self.drain_end;
+            self.kept.extend(
+                passed
+                    .iter()
+                    .filter(|&&d| drain_end[d as usize] > t + rounds),
+            );
+        }
+        self.passed = to + usize::from(self.drainers.get(to) == Some(&(below as u32)));
+    }
+
     /// The earliest round after the current one in which a parked node
     /// wakes or stops draining (possibly a stale entry's, which is early).
     fn next_event(&self) -> u64 {
@@ -1128,7 +1065,7 @@ impl Frontier {
 
     /// Turns the round: `next`, plus every parked node whose promise ends
     /// by `round`, becomes the ascending `active` list of `round`, and
-    /// `draining` becomes the count of `round`.
+    /// `draining` (and `drainers`) the drainers of `round`.
     fn turn(&mut self, round: u64) {
         self.draining += std::mem::take(&mut self.fresh);
         while let Some(&Reverse((wake, i))) = self.wake.peek() {
@@ -1159,27 +1096,40 @@ impl Frontier {
         if !self.active.windows(2).all(|w| w[0] < w[1]) {
             self.active.sort_unstable();
         }
+        if self.list_drainers {
+            // Kept and fresh drainers are disjoint ascending runs: a node
+            // parked this round was stepped, so it left the list.
+            self.drainers.clear();
+            let (mut a, mut b) = (
+                self.kept.iter().peekable(),
+                self.fresh_drainers.iter().peekable(),
+            );
+            while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+                if x < y {
+                    self.drainers.push(x);
+                    a.next();
+                } else {
+                    self.drainers.push(y);
+                    b.next();
+                }
+            }
+            self.drainers.extend(a.chain(b));
+            self.kept.clear();
+            self.fresh_drainers.clear();
+            self.passed = 0;
+            debug_assert_eq!(self.drainers.len() as u64, self.draining);
+        }
     }
 }
 
-/// Buffers the executor hands back at a pause so the next span
-/// reuses them instead of reallocating: the `next` arenas (empty at every
-/// step boundary, inner capacities kept) and the frontier's vectors. It
-/// carries capacity, never state — every span re-seeds the frontier.
+/// What the executor hands back at a pause so the next span continues
+/// from it: the `next` arenas (empty at every step boundary, kept for
+/// their capacity) and the frontier, whose parked nodes' promises and
+/// debts carry across the pause.
 struct Scratch<M> {
     next_cw: Vec<Vec<M>>,
     next_ccw: Vec<Vec<M>>,
     frontier: Frontier,
-}
-
-impl<M> Default for Scratch<M> {
-    fn default() -> Self {
-        Scratch {
-            next_cw: Vec::new(),
-            next_ccw: Vec::new(),
-            frontier: Frontier::default(),
-        }
-    }
 }
 
 /// The snapshot-sink callback installed by [`Engine::on_checkpoint`].
@@ -1274,12 +1224,13 @@ impl<N: Node> Engine<N> {
     /// [`Node::restore_state`]. The snapshot is self-describing for
     /// everything that must match bit-for-bit — trace level, observability,
     /// and the fault plan are taken from it, overriding `config` — while
-    /// executor-only choices (`max_steps`, `compress`, `link_capacity`,
+    /// executor-only choices (`max_steps`, `link_capacity`,
     /// `checkpoint_every`) stay with the caller.
     ///
     /// The subsequent [`Engine::run`] continues from step [`Snapshot::t`]
-    /// and returns a [`RunReport`] **bit-for-bit identical** to the
-    /// uninterrupted run's.
+    /// with every node listed (a snapshot records no frontier) and returns
+    /// a [`RunReport`] **bit-for-bit identical** to the uninterrupted
+    /// run's.
     pub fn resume(
         nodes: Vec<N>,
         config: EngineConfig,
@@ -1461,19 +1412,31 @@ impl<N: Node> Engine<N> {
         self.total_work
     }
 
-    /// Mutable access to the nodes. Intended for callers driving the engine
+    /// Mutable access to node `i`. Intended for callers driving the engine
     /// in bounded spans ([`Engine::run_span`]): between spans — i.e. while
     /// the engine is paused at a step boundary — a serving layer may fold
-    /// newly admitted work into the policy nodes (e.g.
-    /// `DynamicNode` arrival injection). Every unit of resident work added
-    /// this way MUST be declared through [`Engine::add_work`], or the run
-    /// will fail its conservation checks.
-    pub fn nodes_mut(&mut self) -> &mut [N] {
-        &mut self.nodes
+    /// newly admitted work into a policy node (e.g. `DynamicNode` arrival
+    /// injection). The node is paid every round it skipped while parked
+    /// and is stepped in the paused round, since its promise
+    /// ([`Node::quiescence`]) no longer holds once its state changes. Every
+    /// unit of resident work added this way MUST be declared through
+    /// [`Engine::add_work`], or the run will fail its conservation checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a node of the ring.
+    pub fn node_mut(&mut self, i: usize) -> &mut N {
+        let node = &mut self.nodes[i];
+        if let Some(r) = self.resume.as_mut() {
+            if let Some(scratch) = r.scratch.as_mut() {
+                scratch.frontier.take(i, r.t0, node, &mut r.metrics);
+            }
+        }
+        node
     }
 
     /// Raises the termination target by `delta` units, matching work injected
-    /// into the nodes between spans (see [`Engine::nodes_mut`]).
+    /// into the nodes between spans (see [`Engine::node_mut`]).
     pub fn add_work(&mut self, delta: u64) {
         self.total_work += delta;
     }
@@ -1598,19 +1561,20 @@ impl<N: Node> Engine<N> {
     ///
     /// A round steps the [`Frontier`], not the ring: a node that promises
     /// (`quiescence(t + 1)` with `span ≥ 1`) to do nothing on empty inboxes
-    /// but drain its backlog is parked until a neighbor sends to it or the
-    /// promise ends, and is paid the skipped rounds with one `fast_forward`
-    /// and the drained units with one booking when it wakes. Every parked
-    /// debt is settled wherever node state becomes observable: a pause, a
-    /// checkpoint, the compression vote, completion, the step-budget error.
-    /// A round with nothing listed jumps to the next round in which anything
-    /// can happen. A span starts with all `m` nodes listed, as does the
-    /// round after a compressed span. Under a full trace (`Processed` events
-    /// are recorded round by round) only idle nodes park. Under a fault
-    /// plan (stalled owners, link queues that drain while the owner sleeps)
-    /// or with `observe` on (every sample reads every node's
-    /// `pending_work`) nobody parks and the same loop body sweeps all `m`
-    /// nodes every round.
+    /// but drain its backlog is parked until a neighbor sends to it, the
+    /// promise ends or [`Engine::node_mut`] takes it, and is paid the
+    /// skipped rounds with one `fast_forward` and the drained units with one
+    /// booking when it wakes. Every parked debt is settled wherever node
+    /// state becomes observable: a pause, a checkpoint, completion, the
+    /// step-budget error. A round with nothing listed jumps to the next
+    /// round in which anything can happen. A run starts with all `m` nodes
+    /// listed; a span after a pause continues from the frontier the pause
+    /// kept. Under a full trace the parked drainers' `Processed` events are
+    /// merged into the sweep, one per drained round. Under a fault plan
+    /// (stalled owners, link queues that drain while the owner sleeps) or
+    /// with `observe` on (every sample reads every node's `pending_work`)
+    /// nobody parks and the same loop body sweeps all `m` nodes every
+    /// round.
     fn run_bounded(&mut self, pause_at: Option<u64>) -> Result<SpanOutcome, SimError> {
         assert!(
             !self.finished,
@@ -1676,30 +1640,27 @@ impl<N: Node> Engine<N> {
                 None,
             ),
         };
-        let Scratch {
-            mut next_cw,
-            mut next_ccw,
-            mut frontier,
-        } = scratch.map(|boxed| *boxed).unwrap_or_default();
-        next_cw.resize_with(m, Vec::new);
-        next_ccw.resize_with(m, Vec::new);
         // Nobody parks under a fault plan or with observability on: the
         // frontier then stays the whole ring, round after round.
         let parking = plan.is_none() && obs.is_none();
         let record_audit = matches!(self.config.trace, TraceLevel::Full);
-        let park_drainers = parking && !record_audit;
-        frontier.seed(m);
+        let Scratch {
+            mut next_cw,
+            mut next_ccw,
+            mut frontier,
+        } = match scratch {
+            Some(boxed) => *boxed,
+            None => Scratch {
+                next_cw: Vec::new(),
+                next_ccw: Vec::new(),
+                frontier: Frontier::new(m, record_audit),
+            },
+        };
+        next_cw.resize_with(m, Vec::new);
+        next_ccw.resize_with(m, Vec::new);
         let mut stage_cw: Vec<N::Msg> = Vec::new();
         let mut stage_ccw: Vec<N::Msg> = Vec::new();
         let mut audit_buf: Vec<DropRecord> = Vec::new();
-
-        // Step-compression state: how many logical messages entered the
-        // arenas last round (sends + stall carryovers; zero means every
-        // inbox is empty this round), the first step at which the fault
-        // plan is provably inert, and a reusable backlog scratch buffer.
-        let compress = self.config.compress;
-        let fault_horizon = plan.map_or(0, FaultPlan::horizon);
-        let mut quiet_backlogs: Vec<u64> = Vec::new();
 
         // Checkpoints fire only when both a cadence and a sink are set.
         let cp_every = match (self.config.checkpoint_every, self.checkpoint.as_ref()) {
@@ -1779,89 +1740,6 @@ impl<N: Node> Engine<N> {
                 }
             }
 
-            // Quiescent-span step compression: nothing in flight, no link
-            // queue occupied, the fault plan exhausted, and every node
-            // declaring its future a pure local drain — fast-forward the
-            // span analytically while recording the expanded per-step view
-            // (see DESIGN.md §10). The checks short-circuit, so the common
-            // busy round pays one integer compare.
-            if compress
-                && prev_round_departed == 0
-                && t >= fault_horizon
-                && queue_cw.iter().all(VecDeque::is_empty)
-                && queue_ccw.iter().all(VecDeque::is_empty)
-            {
-                // A compressed span must not jump over a checkpoint
-                // boundary, so its budget is additionally capped at the
-                // distance to the next one; a boundary landing inside a
-                // quiescent span simply splits it, which the synthesized
-                // trace/metrics make unobservable in the final report.
-                let mut budget = max_steps - t;
-                if let Some(every) = cp_every {
-                    budget = budget.min(every - t % every);
-                }
-                if let Some(p) = pause_at {
-                    // A quiet span must likewise land exactly on the pause
-                    // boundary (p > t here: the pause check above returned).
-                    budget = budget.min(p - t);
-                }
-                frontier.settle_all(t, &mut self.nodes, &mut metrics);
-                if let Some(k) = ring_quiescence(&self.nodes, t, &mut quiet_backlogs)
-                    .and_then(|(span, max_b)| compression_k(span, max_b, budget))
-                {
-                    let max_b = quiet_backlogs.iter().copied().max().unwrap_or(0);
-                    if record_audit {
-                        synthesize_quiet_trace(t, k, &quiet_backlogs, |e| trace.record(e));
-                    }
-                    if let Some(o) = obs.as_mut() {
-                        let p0: Vec<u64> = self.nodes.iter().map(|n| n.pending_work()).collect();
-                        synthesize_quiet_samples(t, k, &p0, &quiet_backlogs, &mut o.samples);
-                    }
-                    for (i, &b) in quiet_backlogs.iter().enumerate() {
-                        let d = b.min(k);
-                        if d > 0 {
-                            metrics.processed_per_node[i] += d;
-                            metrics.busy_steps_per_node[i] += d;
-                            processed_total += d;
-                        }
-                    }
-                    if max_b > 0 {
-                        // k ≤ max_b, so the deepest node is busy in every
-                        // compressed round, including the last.
-                        metrics.last_busy_step = Some(t + k - 1);
-                    }
-                    for node in self.nodes.iter_mut() {
-                        node.fast_forward(k);
-                    }
-                    frontier.seed(m);
-                    t += k;
-                    metrics.steps = t;
-                    if processed_total > self.total_work {
-                        return Err(SimError::WorkMiscount {
-                            processed: processed_total,
-                            total: self.total_work,
-                        });
-                    }
-                    if processed_total == self.total_work {
-                        debug_assert!(
-                            self.nodes.iter().all(|n| n.pending_work() == 0),
-                            "all work processed but a node still reports pending work"
-                        );
-                        let makespan = metrics.last_busy_step.expect("work was processed") + 1;
-                        let report = RunReport {
-                            makespan,
-                            metrics,
-                            trace,
-                            observability: obs,
-                        };
-                        self.self_check(&report);
-                        self.finished = true;
-                        return Ok(SpanOutcome::Done(Box::new(report)));
-                    }
-                    continue;
-                }
-            }
-
             // With nothing listed there is nothing in flight either (every
             // sender lists its receivers), so until the next wake or drain
             // end only the parked drainers work: take those rounds at once,
@@ -1885,6 +1763,8 @@ impl<N: Node> Engine<N> {
                 debug_assert!(rounds >= 1 && prev_round_departed == 0);
             }
 
+            // Logical messages entering the arenas this round (departures
+            // and stall carry-overs); only the snapshot records it.
             let mut round_departed: u64 = 0;
 
             // A stalled processor does not consume its inbox: carry the
@@ -1909,6 +1789,9 @@ impl<N: Node> Engine<N> {
             for at in 0..frontier.active.len() {
                 let i = frontier.active[at] as usize;
                 if parking {
+                    if record_audit {
+                        frontier.pass_drainers(i, t, 1, &mut trace);
+                    }
                     frontier.settle(i, t, &mut self.nodes[i], &mut metrics);
                 }
                 let ctx = NodeCtx {
@@ -2035,9 +1918,7 @@ impl<N: Node> Engine<N> {
                         self.nodes[i].quiescence(t + 1)
                     };
                     match promise {
-                        Some(q) if q.span >= 1 && (q.backlog == 0 || park_drainers) => {
-                            frontier.park(i, t + 1, q)
-                        }
+                        Some(q) if q.span >= 1 => frontier.park(i, t + 1, q),
                         _ => frontier.list(i, t + 1),
                     }
                     if dep_cw.messages > 0 {
@@ -2046,6 +1927,9 @@ impl<N: Node> Engine<N> {
                 }
             }
             if parking {
+                if record_audit {
+                    frontier.pass_drainers(usize::MAX, t, rounds, &mut trace);
+                }
                 processed_total += frontier.draining * rounds;
                 frontier.turn(t + rounds);
             }
@@ -2519,9 +2403,9 @@ mod tests {
                 })
                 .collect()
         };
-        for compress in [false, true] {
+        for trace in [TraceLevel::Off, TraceLevel::Full] {
             let config = EngineConfig {
-                compress,
+                trace,
                 ..EngineConfig::default()
             };
             let mut whole = Engine::new(ring(), 47, config.clone());
@@ -2529,10 +2413,7 @@ mod tests {
             assert_eq!(report.makespan, 40);
             assert_eq!(report.metrics.messages_sent, 1);
             for node in whole.nodes() {
-                assert_eq!(
-                    node.ticks, report.metrics.steps,
-                    "compress={compress}: at completion"
-                );
+                assert_eq!(node.ticks, report.metrics.steps, "{trace:?}: at completion");
             }
 
             let mut spans = Engine::new(ring(), 47, config);
@@ -2543,12 +2424,12 @@ mod tests {
                     SpanOutcome::Done(report) => break *report,
                     SpanOutcome::Paused { t, .. } => {
                         for node in spans.nodes() {
-                            assert_eq!(node.ticks, t, "compress={compress}: at pause {t}");
+                            assert_eq!(node.ticks, t, "{trace:?}: at pause {t}");
                         }
                     }
                 }
             };
-            assert_eq!(spanned, report, "compress={compress}");
+            assert_eq!(spanned, report, "{trace:?}");
         }
     }
 
@@ -2609,34 +2490,27 @@ mod tests {
                 })
                 .collect()
         };
-        for compress in [false, true] {
-            let config = EngineConfig {
-                max_steps: Some(20),
-                compress,
-                ..EngineConfig::default()
-            };
-            let total = loads.iter().sum();
-            let parked = Engine::new(ring(true), total, config.clone()).run();
-            let swept = Engine::new(ring(false), total, config.clone()).run();
-            assert_eq!(parked, swept, "compress={compress}");
-            match parked {
-                Err(SimError::ExceededMaxSteps { processed, .. }) => {
-                    assert_eq!(processed, 20 + 12 + 20 + 7, "compress={compress}")
-                }
-                other => panic!("compress={compress}: expected the budget error, got {other:?}"),
+        let config = EngineConfig {
+            max_steps: Some(20),
+            ..EngineConfig::default()
+        };
+        let total = loads.iter().sum();
+        let parked = Engine::new(ring(true), total, config.clone()).run();
+        let swept = Engine::new(ring(false), total, config.clone()).run();
+        assert_eq!(parked, swept);
+        match parked {
+            Err(SimError::ExceededMaxSteps { processed, .. }) => {
+                assert_eq!(processed, 20 + 12 + 20 + 7)
             }
-
-            // The same with a pause inside the drain.
-            let mut parked = Engine::new(ring(true), total, config.clone());
-            let mut swept = Engine::new(ring(false), total, config);
-            assert_eq!(parked.run_span(9).unwrap(), swept.run_span(9).unwrap());
-            assert_eq!(parked.processed(), 9 + 9 + 9 + 7);
-            assert_eq!(
-                parked.run(),
-                swept.run(),
-                "compress={compress}: after a pause"
-            );
+            other => panic!("expected the budget error, got {other:?}"),
         }
+
+        // The same with a pause inside the drain.
+        let mut parked = Engine::new(ring(true), total, config.clone());
+        let mut swept = Engine::new(ring(false), total, config);
+        assert_eq!(parked.run_span(9).unwrap(), swept.run_span(9).unwrap());
+        assert_eq!(parked.processed(), 9 + 9 + 9 + 7);
+        assert_eq!(parked.run(), swept.run(), "after a pause");
     }
 
     #[test]
@@ -2667,6 +2541,53 @@ mod tests {
         let swept = Engine::new(ring(false), 30, EngineConfig::default()).run();
         assert_eq!(parked, swept);
         assert_eq!(parked.unwrap().metrics.processed_per_node, vec![5, 20, 5]);
+    }
+
+    #[test]
+    fn work_handed_to_a_parked_drainer_between_spans_is_stepped() {
+        // Node 3 parks at 1 to drain 50 units; at the pause at 6 it gets
+        // five more, and node 0 (parked idle after its gift at 2) gets
+        // three. Under a full trace the drainers' events come from the
+        // frontier's list, so the whole trace checks their order.
+        let ring = |promise: bool| -> Vec<Trader> {
+            [(30, vec![(2, 10)]), (0, vec![]), (12, vec![]), (50, vec![])]
+                .into_iter()
+                .map(|(backlog, gifts)| Trader {
+                    backlog,
+                    gifts,
+                    promise,
+                })
+                .collect()
+        };
+        for trace in [TraceLevel::Off, TraceLevel::Full] {
+            let config = EngineConfig {
+                trace,
+                ..EngineConfig::default()
+            };
+            let mut parked = Engine::new(ring(true), 92, config.clone());
+            let mut swept = Engine::new(ring(false), 92, config);
+            for engine in [&mut parked, &mut swept] {
+                assert!(matches!(
+                    engine.run_span(6).unwrap(),
+                    SpanOutcome::Paused { t: 6, .. }
+                ));
+                engine.node_mut(3).backlog += 5;
+                engine.node_mut(0).backlog += 3;
+                engine.add_work(8);
+                assert!(matches!(
+                    engine.run_span(20).unwrap(),
+                    SpanOutcome::Paused { t: 20, .. }
+                ));
+            }
+            assert_eq!(parked.processed(), swept.processed(), "{trace:?}");
+            let report = parked.run().unwrap();
+            assert_eq!(report, swept.run().unwrap(), "{trace:?}");
+            assert_eq!(report.makespan, 55, "{trace:?}");
+            assert_eq!(report.metrics.processed_per_node, vec![23, 10, 12, 55]);
+            if trace == TraceLevel::Full {
+                assert_eq!(report.trace.total_processed(), 100);
+            }
+        }
     }
 
     /// Processes a unit every round, forever, and (with `promise`) says so
@@ -2702,31 +2623,28 @@ mod tests {
 
     #[test]
     fn a_backlog_near_u64_max_does_not_overflow_the_drain_books() {
-        for compress in [false, true] {
-            let config = EngineConfig {
-                max_steps: Some(40),
-                compress,
-                ..EngineConfig::default()
-            };
-            let ring = |promise: bool| {
-                (0..3)
-                    .map(|_| Spring {
-                        processed: 0,
-                        promise,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let parked = Engine::new(ring(true), u64::MAX, config.clone()).run();
-            let swept = Engine::new(ring(false), u64::MAX, config).run();
-            assert_eq!(parked, swept, "compress={compress}");
-            assert!(
-                matches!(
-                    parked,
-                    Err(SimError::ExceededMaxSteps { processed: 120, .. })
-                ),
-                "compress={compress}: {parked:?}"
-            );
-        }
+        let config = EngineConfig {
+            max_steps: Some(40),
+            ..EngineConfig::default()
+        };
+        let ring = |promise: bool| {
+            (0..3)
+                .map(|_| Spring {
+                    processed: 0,
+                    promise,
+                })
+                .collect::<Vec<_>>()
+        };
+        let parked = Engine::new(ring(true), u64::MAX, config.clone()).run();
+        let swept = Engine::new(ring(false), u64::MAX, config).run();
+        assert_eq!(parked, swept);
+        assert!(
+            matches!(
+                parked,
+                Err(SimError::ExceededMaxSteps { processed: 120, .. })
+            ),
+            "{parked:?}"
+        );
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! Ring policies lift unchanged: [`RingLift`] adapts any [`Node`] to a
 //! [`FabricNode`] by translating the port-tagged inbox back into the
 //! cw/ccw [`StepIo`] surface. The ring engine itself remains the fast path
-//! for rings (the active-node frontier, quiescent-span compression, the
-//! golden byte formats); the fabric is the generality path.
+//! for rings (the active-node frontier, the golden byte formats); the
+//! fabric is the generality path.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -464,8 +464,9 @@ fn step_cell<N: FabricNode>(
 /// the sequential and parallel drivers may be freely interleaved across
 /// spans of one run without observable effect.
 ///
-/// Reuses [`EngineConfig`]; the ring-engine-only knobs (`compress`,
-/// `observe`, `window`, `checkpoint_every`) are ignored here.
+/// Reuses [`EngineConfig`]; the ring-engine-only knobs (`observe`,
+/// `checkpoint_every`) and the inert ones (`compress`, `window`) are
+/// ignored here.
 #[derive(Debug)]
 pub struct Fabric<N: FabricNode> {
     topo: AnyTopology,

@@ -40,17 +40,18 @@
 //! cap — each deterministically checkable because the plan is a pure
 //! function of `(node, link, step)`).
 //!
-//! ## Coalescing and step compression
+//! ## Coalescing and parked drainers
 //!
 //! The oracle needs no special handling for either engine optimization:
 //! `Sent` events aggregate per (node, direction, step) with run-length
 //! weighted message counts, so a coalesced run and the equivalent per-unit
-//! burst produce the same trace; and quiescent-span step compression
-//! synthesizes the *expanded* per-step `Processed` events before fast
-//! forwarding, so a compressed run's trace is indistinguishable from the
-//! step-by-step one. The invariance is proved by the representation- and
-//! compression-equivalence proptests in `tests/engine_equivalence.rs`,
-//! which run every variant through [`check_run`].
+//! burst produce the same trace; and the executor records a parked
+//! drainer's `Processed` event in every round it drains, in node order,
+//! so a run with parked nodes traces exactly like the full sweep. The
+//! invariance is proved by the representation-equivalence proptest in
+//! `tests/engine_equivalence.rs` and the parked-versus-swept battery in
+//! `tests/frontier_equivalence.rs`, whose traced runs the engine's
+//! self-check replays through the oracle.
 
 use std::collections::HashMap;
 

@@ -1,5 +1,5 @@
 //! A quota-relay workload exercising the count-coalesced message
-//! representation and quiescent-span step compression.
+//! representation and the executor's parked drainers.
 //!
 //! [`StreamNode`] moves indistinguishable unit jobs clockwise around the
 //! ring: each node keeps incoming units up to a per-node quota and relays
@@ -110,8 +110,7 @@ impl StreamSpec {
 
     /// The *drain* shape: `work` unit jobs on node 0, the whole quota on the
     /// antipodal node. After `m/2` transit rounds the sink drains `work`
-    /// units in as many quiet rounds — the shape quiescent-span step
-    /// compression collapses to O(1) engine rounds.
+    /// units in as many quiet rounds, parked on the executor's frontier.
     pub fn drain(m: usize, work: u64) -> Self {
         let mut initial = vec![0; m];
         initial[0] = work;
@@ -255,56 +254,63 @@ mod tests {
     use crate::engine::RunReport;
     use crate::trace::TraceLevel;
 
-    fn full_cfg(compress: bool) -> EngineConfig {
+    fn full_cfg(observe: bool) -> EngineConfig {
         EngineConfig {
             trace: TraceLevel::Full,
-            observe: true,
-            compress,
+            observe,
             ..EngineConfig::default()
         }
     }
 
-    fn run(spec: &StreamSpec, repr: Representation, compress: bool) -> RunReport {
-        stream_engine(spec, repr, full_cfg(compress)).run().unwrap()
+    /// A fully traced run, observed (so nobody parks) or not.
+    fn run(spec: &StreamSpec, repr: Representation, observe: bool) -> RunReport {
+        stream_engine(spec, repr, full_cfg(observe)).run().unwrap()
     }
 
     #[test]
     fn representations_report_identically_on_spread() {
         let spec = StreamSpec::spread(9, 70);
-        let per_unit = run(&spec, Representation::PerUnit, false);
-        let coalesced = run(&spec, Representation::Coalesced, false);
+        let per_unit = run(&spec, Representation::PerUnit, true);
+        let coalesced = run(&spec, Representation::Coalesced, true);
         assert_eq!(per_unit, coalesced);
         assert!(per_unit.metrics.messages_sent > 0);
     }
 
     #[test]
-    fn compression_is_invisible_on_drain() {
+    fn representations_report_identically_on_drain() {
+        // Unobserved, the sink parks for its whole drain and its events
+        // come from the frontier's drainer list.
         let spec = StreamSpec::drain(8, 500);
-        let plain = run(&spec, Representation::Coalesced, false);
-        let compressed = run(&spec, Representation::Coalesced, true);
-        assert_eq!(plain, compressed);
+        let per_unit = run(&spec, Representation::PerUnit, false);
+        let coalesced = run(&spec, Representation::Coalesced, false);
+        assert_eq!(per_unit, coalesced);
         // The drain shape really is dominated by quiet rounds.
-        assert!(plain.makespan > 500);
+        assert!(coalesced.makespan > 500);
+        assert_eq!(coalesced.trace.total_processed(), 500);
     }
 
     #[test]
     fn all_four_variants_agree() {
         let spec = StreamSpec::new(vec![13, 0, 5, 40, 0, 1], vec![9, 9, 9, 9, 9, 14]);
-        let base = run(&spec, Representation::PerUnit, false);
+        let base = run(&spec, Representation::PerUnit, true);
         for repr in [Representation::PerUnit, Representation::Coalesced] {
-            for compress in [false, true] {
-                assert_eq!(base, run(&spec, repr, compress), "{repr:?}/{compress}");
+            for observe in [false, true] {
+                let mut report = run(&spec, repr, observe);
+                if !observe {
+                    report.observability = base.observability.clone();
+                }
+                assert_eq!(base, report, "{repr:?}/observe={observe}");
             }
         }
         assert_eq!(base.metrics.total_processed(), spec.total_work());
     }
 
     #[test]
-    fn par_run_matches_under_compression() {
+    fn par_run_matches_run() {
         let spec = StreamSpec::spread(12, 200);
-        let seq = run(&spec, Representation::Coalesced, true);
+        let seq = run(&spec, Representation::Coalesced, false);
         for shards in [2, 3, 7] {
-            let par = stream_engine(&spec, Representation::Coalesced, full_cfg(true))
+            let par = stream_engine(&spec, Representation::Coalesced, full_cfg(false))
                 .par_run(shards)
                 .unwrap();
             assert_eq!(seq, par, "{shards} shards");
@@ -314,8 +320,8 @@ mod tests {
     #[test]
     fn link_series_counts_units_not_arena_entries() {
         let spec = StreamSpec::drain(8, 500);
-        let per_unit = run(&spec, Representation::PerUnit, false);
-        let coalesced = run(&spec, Representation::Coalesced, false);
+        let per_unit = run(&spec, Representation::PerUnit, true);
+        let coalesced = run(&spec, Representation::Coalesced, true);
         assert_eq!(per_unit.observability, coalesced.observability);
         let obs = coalesced.observability.as_ref().unwrap();
         // 500 units leave node 0 clockwise in one burst: the per-link series
@@ -331,7 +337,7 @@ mod tests {
     #[test]
     fn singleton_ring_drains_locally() {
         let spec = StreamSpec::new(vec![25], vec![25]);
-        let report = run(&spec, Representation::Coalesced, true);
+        let report = run(&spec, Representation::Coalesced, false);
         assert_eq!(report.makespan, 25);
         assert_eq!(report.metrics.messages_sent, 0);
     }

@@ -239,16 +239,15 @@ fn damaged_snapshots_fail_closed_with_typed_errors() {
 }
 
 /// The count-coalesced stream workload checkpoints and resumes exactly,
-/// under step compression — and because the message *layout* is not part
-/// of the persisted state, a run saved with coalesced runs may resume
-/// with per-unit messages and still report bit-identically.
+/// with the sink parked mid-drain at most boundaries — and because the
+/// message *layout* is not part of the persisted state, a run saved with
+/// coalesced runs may resume with per-unit messages and still report
+/// bit-identically.
 #[test]
 fn stream_coalesced_checkpoints_resume_exactly() {
     let spec = StreamSpec::drain(10, 400);
     let full = EngineConfig {
         trace: TraceLevel::Full,
-        observe: true,
-        compress: true,
         ..EngineConfig::default()
     };
     let base = stream_engine(&spec, Representation::Coalesced, full.clone())

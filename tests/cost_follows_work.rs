@@ -6,14 +6,16 @@
 //! promise ran out; a node draining its backlog with empty inboxes is
 //! parked and its drain booked later. So the call count is bounded by the
 //! messages sent, is the same on a ring sixteen times larger, and on a
-//! dense Table 1 row sits far below the busy node-steps. Anything that
-//! scans all `m` nodes per round, or steps drainers again, fails these
-//! assertions.
+//! dense Table 1 row sits far below the busy node-steps; a run cut into
+//! spans, with work handed in between them, costs the same. Anything that
+//! scans all `m` nodes per round or per span, or steps drainers again,
+//! fails these assertions.
 
 use ring_sched::dynamic::{build_dynamic_nodes, Arrival};
 use ring_sched::unit::{build_unit_nodes, UnitConfig};
 use ring_sim::{
-    Engine, EngineConfig, Instance, Node, NodeCtx, Quiescence, RunReport, SimError, StepIo,
+    Engine, EngineConfig, Instance, Node, NodeCtx, Quiescence, RunReport, SimError, SpanOutcome,
+    StepIo,
 };
 use ring_workloads::catalog::catalog_case;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,4 +176,65 @@ fn a_dense_catalog_row_costs_messages_not_busy_node_steps() {
             "{name}: {calls} on_step calls is not 10x below {busy} busy node-steps"
         );
     }
+}
+
+/// A span-driven run, the way the service drives one: 8-round spans, and
+/// at every fifth of the first thirty pauses a small batch handed to a
+/// node near the pile through [`Engine::node_mut`]. The frontier survives each pause, so a
+/// span costs the nodes it steps, not a sweep of the ring: beyond the
+/// first sweep the calls are bounded by the messages, the spans and the
+/// touched nodes, and do not depend on the ring size.
+#[test]
+fn spans_with_injections_cost_work_not_ring_size() {
+    const SPAN: u64 = 8;
+    let beyond_first_sweep = [4096usize, 65_536].map(|m| {
+        let calls = Arc::new(AtomicU64::new(0));
+        let nodes = build_dynamic_nodes(m, &UnitConfig::c1())
+            .into_iter()
+            .map(|inner| Counted {
+                inner,
+                calls: Arc::clone(&calls),
+            })
+            .collect();
+        let mut engine = Engine::new(nodes, 0, EngineConfig::default());
+        engine.node_mut(0).inner.inject(Arrival {
+            time: 0,
+            processor: 0,
+            count: 10_000,
+        });
+        engine.add_work(10_000);
+        let (mut spans, mut touched) = (0u64, 0u64);
+        let report = loop {
+            let t = engine.t();
+            if spans % 5 == 4 && touched < 6 {
+                let processor = 1 + (spans as usize % 7);
+                engine.node_mut(processor).inner.inject(Arrival {
+                    time: t,
+                    processor,
+                    count: 20,
+                });
+                engine.add_work(20);
+                touched += 1;
+            }
+            spans += 1;
+            match engine.run_span(t + SPAN).expect("span") {
+                SpanOutcome::Done(report) => break *report,
+                SpanOutcome::Paused { .. } => {}
+            }
+        };
+        assert_eq!(touched, 6, "m = {m}: the run outlasted the injections");
+        let calls = calls.load(Ordering::Relaxed);
+        let messages = report.metrics.messages_sent;
+        let bound = m as u64 + 3 * messages + spans + 2 * touched;
+        assert!(
+            calls <= bound,
+            "m = {m}: {calls} on_step calls over {spans} spans for {messages} messages \
+             and {touched} touched nodes (bound {bound})"
+        );
+        (report.makespan, calls - m as u64)
+    });
+    assert_eq!(
+        beyond_first_sweep[0], beyond_first_sweep[1],
+        "(makespan, on_step calls after round 0) must not depend on the ring size"
+    );
 }

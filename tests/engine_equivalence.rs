@@ -1,7 +1,7 @@
 //! Engine equivalences that hold whatever the workload: the executor
-//! (`Engine::run` or `Engine::par_run`), step compression, checkpoint
-//! cadence, resume and the message representation are all unobservable in
-//! the [`ring_sim::RunReport`].
+//! (`Engine::run` or `Engine::par_run`), checkpoint cadence, resume and the
+//! message representation are all unobservable in the
+//! [`ring_sim::RunReport`].
 //!
 //! Each property compares whole reports bit for bit (metrics, full trace
 //! and observability), and every faulty run must still place and process
@@ -42,7 +42,6 @@ fn par_run_unit_faulty(
         trace: cfg.trace,
         observe: cfg.observe,
         faults: Some(plan.clone()),
-        compress: cfg.compress,
         ..EngineConfig::default()
     };
     Engine::new(build_unit_nodes(inst, cfg), inst.total_work(), engine_cfg).par_run(shards)
@@ -95,57 +94,6 @@ proptest! {
                 &plan
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
-
-    /// Quiescent-span step compression is unobservable: for every §6
-    /// algorithm, random instance, and random fault plan, the compressed
-    /// engine produces a `RunReport` bit-identical to the step-by-step one,
-    /// under `run` and `par_run` alike, and the trace-replay oracle accepts
-    /// the compressed run's expanded trace.
-    #[test]
-    fn compression_is_unobservable_under_fault_plans(
-        loads in prop::collection::vec(0u64..100, 2..20),
-        alg in 0usize..6,
-        seed in 0u64..1_000_000,
-    ) {
-        prop_assume!(loads.iter().sum::<u64>() > 0);
-        let inst = Instance::from_loads(loads);
-        let m = inst.num_processors();
-        let plan = FaultPlan::random(m, 48, seed);
-        let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe();
-
-        let compressed_cfg = cfg.with_compress();
-
-        let plain = run_unit_faulty(&inst, &cfg, &plan).unwrap();
-        let compressed = run_unit_faulty(&inst, &compressed_cfg, &plan).unwrap();
-        prop_assert_eq!(
-            &plain.report,
-            &compressed.report,
-            "{} compression changed the report under {:?}",
-            name,
-            &plan
-        );
-        let violations = check_run(&inst, &compressed.report, Some(&plan));
-        prop_assert!(
-            violations.is_empty(),
-            "{} oracle rejected the compressed run under {:?}: {:?}",
-            name,
-            &plan,
-            violations
-        );
-        let par = par_run_unit_faulty(&inst, &compressed_cfg, &plan, 2).unwrap();
-        prop_assert_eq!(
-            &plain.report,
-            &par,
-            "{} par_run + compression diverged under {:?}",
-            name,
-            &plan
-        );
     }
 }
 
@@ -229,20 +177,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
 
-    /// Checkpoint boundaries split compressed quiescent spans (the engine
-    /// caps each span at the next boundary so snapshots land exactly on
-    /// `t % every == 0`); the split must be unobservable: with compression
-    /// on and a random cadence, the report still matches the plain
-    /// uncompressed run bit-for-bit, with and without a fault plan, and
-    /// resuming from a random boundary of the compressed run reproduces it
-    /// again.
+    /// Checkpoint cadence is unobservable: with a random cadence, with and
+    /// without a fault plan and with `observe` on or off, the checkpointed
+    /// run reports bit-for-bit like the plain one, places and processes all
+    /// work and passes the trace-replay oracle, and resuming from a random
+    /// boundary reproduces it again. Without a plan or `observe`, drainers
+    /// park under the full trace, so the boundaries land while parked
+    /// drainers owe their `Processed` events.
     #[test]
-    fn checkpoint_cadence_is_unobservable_under_compression(
+    fn checkpoint_cadence_is_unobservable(
         loads in prop::collection::vec(0u64..100, 2..20),
         alg in 0usize..6,
         seed in 0u64..1_000_000,
         every in 1u64..24,
         faulty in 0u8..2,
+        observe in 0u8..2,
         pick in 0usize..64,
     ) {
         prop_assume!(loads.iter().sum::<u64>() > 0);
@@ -250,7 +199,11 @@ proptest! {
         let m = inst.num_processors();
         let plan = (faulty == 1).then(|| FaultPlan::random(m, 48, seed));
         let (name, cfg) = UnitConfig::all_six()[alg];
-        let cfg = cfg.with_trace().with_observe();
+        let cfg = if observe == 1 {
+            cfg.with_trace().with_observe()
+        } else {
+            cfg.with_trace()
+        };
 
         let base = match &plan {
             Some(p) => run_unit_faulty(&inst, &cfg, p),
@@ -258,12 +211,11 @@ proptest! {
         }
         .unwrap();
 
-        let compressed_cfg = cfg.with_compress();
         let snaps = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&snaps);
         let run = run_unit_checkpointed(
             &inst,
-            &compressed_cfg,
+            &cfg,
             plan.as_ref(),
             None,
             every,
@@ -277,10 +229,25 @@ proptest! {
         prop_assert_eq!(
             &base.report,
             &run.report,
-            "{} compression + checkpoint_every({}) changed the report under {:?}",
+            "{} checkpoint_every({}) changed the report under {:?}",
             name,
             every,
             &plan
+        );
+        prop_assert_eq!(
+            run.report.metrics.total_processed(),
+            inst.total_work(),
+            "{} lost work under {:?}",
+            name,
+            &plan
+        );
+        let violations = check_run(&inst, &run.report, plan.as_ref());
+        prop_assert!(
+            violations.is_empty(),
+            "{} oracle violations under {:?}: {:?}",
+            name,
+            &plan,
+            violations
         );
 
         let snaps = snaps.lock().unwrap();
@@ -289,11 +256,11 @@ proptest! {
         }
         let snap = &snaps[pick % snaps.len()];
         prop_assert_eq!(snap.t % every, 0, "snapshot off the cadence boundary");
-        let resumed = resume_unit(&compressed_cfg, snap, None).unwrap();
+        let resumed = resume_unit(&cfg, snap, None).unwrap();
         prop_assert_eq!(
             &base.report,
             &resumed.report,
-            "{} resumed from the compressed run's t={} diverged under {:?}",
+            "{} resumed from t={} diverged under {:?}",
             name,
             snap.t,
             &plan
@@ -306,7 +273,8 @@ proptest! {
 
     /// Count-coalesced runs are unobservable: a random stream workload
     /// reports bit-identically whether its surplus travels as per-unit
-    /// arena entries or coalesced runs, with and without step compression.
+    /// arena entries or coalesced runs, with and without `observe` (without
+    /// it the sinks park and drain on the frontier).
     /// (Fault-free by design: a bandwidth cap can split a per-unit stream
     /// mid-step but never a coalesced run, so capped links are outside the
     /// representation-equivalence contract — see DESIGN.md §10.)
@@ -330,19 +298,21 @@ proptest! {
         quota[sink % m] += slack;
         let spec = StreamSpec::new(initial, quota);
 
-        let full = |compress| EngineConfig {
+        let full = |observe| EngineConfig {
             trace: TraceLevel::Full,
-            observe: true,
-            compress,
+            observe,
             ..EngineConfig::default()
         };
-        let base_report = stream_engine(&spec, Representation::PerUnit, full(false))
+        let base_report = stream_engine(&spec, Representation::PerUnit, full(true))
             .run()
             .unwrap();
         for repr in [Representation::PerUnit, Representation::Coalesced] {
-            for compress in [false, true] {
-                let run = stream_engine(&spec, repr, full(compress)).run().unwrap();
-                prop_assert_eq!(&base_report, &run, "{:?}/{}", repr, compress);
+            for observe in [false, true] {
+                let mut run = stream_engine(&spec, repr, full(observe)).run().unwrap();
+                if !observe {
+                    run.observability = base_report.observability.clone();
+                }
+                prop_assert_eq!(&base_report, &run, "{:?}/observe={}", repr, observe);
             }
         }
     }

@@ -8,10 +8,12 @@
 //! on random instances across every policy that parks (the six unit
 //! algorithms, arbitrary sizes, dynamic arrivals), on sparse rings (most
 //! nodes idle) and dense ones (every node draining while Lemma 5
-//! wrap-around buckets pass through and wake it), with compression on and
-//! off, and compares everything an observer can reach: the `RunReport`
-//! with and without a full trace (drainers park only without one), the
-//! final node states, the `RINGSNAP` bytes at every pause and checkpoint
+//! wrap-around buckets pass through and wake it), and compares everything
+//! an observer can reach: the `RunReport` with and without a full trace
+//! (drainers park under both; under a full trace the engine records their
+//! `Processed` events itself), the final node states, the `RINGSNAP` bytes
+//! at every pause — under both trace levels, with arrivals handed to
+//! draining nodes through `Engine::node_mut` — and at every checkpoint
 //! (taken while drainers are parked mid-drain), and a resume from one of
 //! those snapshots.
 //!
@@ -40,7 +42,7 @@ fn cases() -> u32 {
     8 * mult.max(1)
 }
 
-/// `N` without its quiescence promise: never parked, never compressed.
+/// `N` without its quiescence promise: never parked.
 struct Unparked<N>(N);
 
 impl<N: Node> Node for Unparked<N> {
@@ -143,51 +145,17 @@ where
     (report, taken)
 }
 
-/// `N` ≡ `Unparked<N>` through an uninterrupted run, a run cut into random
-/// spans with work injected between them, and a checkpointed run resumed
-/// from a random snapshot.
-fn assert_family<N>(f: &Family<'_, N>, rng: &mut StdRng)
+/// `N` ≡ `Unparked<N>` through a run cut into random spans, with each late
+/// arrival handed to its node through [`Engine::node_mut`] at a pause
+/// before its time: the span outcomes, the `RINGSNAP` bytes at every pause
+/// and the final node states agree, and a resume from one of the pauses
+/// finishes like the spans did.
+fn assert_spans<N>(f: &Family<'_, N>, cfg: &EngineConfig, rng: &mut StdRng)
 where
     N: Node,
     N::Msg: Persist,
 {
-    let label = &f.label;
-    let horizon = f.late.last().map_or(0, |a| a.time);
-    let all_work = f.total + f.late.iter().map(|a| a.count).sum::<u64>();
-    let m = (f.build)().len() as u64;
-    // Drainers park only without a full trace, so the pauses and
-    // checkpoints below mostly run without one.
-    let cfg = EngineConfig {
-        max_steps: Some(4 * (all_work + m) + horizon + 64),
-        trace: match rng.gen_range(0..4) {
-            0 => TraceLevel::Full,
-            _ => TraceLevel::Off,
-        },
-        compress: rng.gen_range(0..2) == 1,
-        ..EngineConfig::default()
-    };
-
-    // Uninterrupted, under both trace levels.
-    let [full, off] = [TraceLevel::Full, TraceLevel::Off].map(|trace| {
-        let cfg = EngineConfig {
-            trace,
-            ..cfg.clone()
-        };
-        let (report, nodes) = run_whole(f, &cfg, |n| n);
-        let (full_report, full_nodes) = run_whole(f, &cfg, Unparked);
-        assert_eq!(report, full_report, "{label}: report, trace {trace:?}");
-        assert_eq!(
-            nodes, full_nodes,
-            "{label}: final node states, trace {trace:?}"
-        );
-        report
-    });
-    let report = match cfg.trace {
-        TraceLevel::Full => full,
-        TraceLevel::Off => off,
-    };
-
-    // Random spans, scheduling each late arrival at a pause before its time.
+    let label = format!("{}, trace {:?}", f.label, cfg.trace);
     let mut parked = Engine::new((f.build)(), f.total, cfg.clone());
     let mut swept = Engine::new(
         (f.build)().into_iter().map(Unparked).collect(),
@@ -202,8 +170,8 @@ where
         let ahead = pause_at + rng.gen_range(0u64..=40);
         while next < f.late.len() && f.late[next].time < ahead {
             let a = f.late[next];
-            (f.inject)(&mut parked.nodes_mut()[a.processor], a);
-            (f.inject)(&mut swept.nodes_mut()[a.processor].0, a);
+            (f.inject)(parked.node_mut(a.processor), a);
+            (f.inject)(&mut swept.node_mut(a.processor).0, a);
             parked.add_work(a.count);
             swept.add_work(a.count);
             next += 1;
@@ -237,6 +205,49 @@ where
             .expect("resumed run");
         assert_eq!(resumed, spanned, "{label}: resumed from pause {}", snap.t);
     }
+}
+
+/// `N` ≡ `Unparked<N>` through an uninterrupted run, runs cut into random
+/// spans with work handed in between them, and a checkpointed run resumed
+/// from a random snapshot.
+fn assert_family<N>(f: &Family<'_, N>, rng: &mut StdRng)
+where
+    N: Node,
+    N::Msg: Persist,
+{
+    let label = &f.label;
+    let horizon = f.late.last().map_or(0, |a| a.time);
+    let all_work = f.total + f.late.iter().map(|a| a.count).sum::<u64>();
+    let m = (f.build)().len() as u64;
+    let cfg = EngineConfig {
+        max_steps: Some(4 * (all_work + m) + horizon + 64),
+        trace: match rng.gen_range(0..2) {
+            0 => TraceLevel::Full,
+            _ => TraceLevel::Off,
+        },
+        ..EngineConfig::default()
+    };
+
+    // Uninterrupted, and cut into spans, under both trace levels.
+    let [full, off] = [TraceLevel::Full, TraceLevel::Off].map(|trace| {
+        let cfg = EngineConfig {
+            trace,
+            ..cfg.clone()
+        };
+        let (report, nodes) = run_whole(f, &cfg, |n| n);
+        let (full_report, full_nodes) = run_whole(f, &cfg, Unparked);
+        assert_eq!(report, full_report, "{label}: report, trace {trace:?}");
+        assert_eq!(
+            nodes, full_nodes,
+            "{label}: final node states, trace {trace:?}"
+        );
+        assert_spans(f, &cfg, rng);
+        report
+    });
+    let report = match cfg.trace {
+        TraceLevel::Full => full,
+        TraceLevel::Off => off,
+    };
 
     // Checkpoint cadence; the snapshots are taken while nodes are parked.
     let cp_cfg = cfg.clone().checkpoint_every(rng.gen_range(1..=7));
